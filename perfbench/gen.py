@@ -35,6 +35,10 @@ RANDOM_LE_LIMIT = 2000
 # `models` is asked only of the family whose answer is known by construction.
 MODELS_ORACLE_ATOMS = 7
 
+# Atoms of the wide conjunctions: fixed, since the bitmask oracle's cost
+# grows as 2^atoms and would otherwise vary with the seed.
+CONJ_WIDTH = 12
+
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -245,8 +249,10 @@ def belief_queries(rng: random.Random, fixtures: Path) -> List[Tuple[Template, L
         if t.facts["atom_pool"] <= MODELS_ORACLE_ATOMS:
             commands.append(("models", "{file}"))
         plan.append((t, commands))
-    for k in range(2):
-        for n in (6, 7, 8, 9):
+    # One n = 9 antichain: its three refusals stay under 5% of the list,
+    # so the p95 tail is a measured time and not the deadline.
+    for n, copies in ((6, 2), (7, 2), (8, 2), (9, 1)):
+        for k in range(copies):
             t = _antichain_template(rng, k, n)
             x = "@" + rng.choice(t.facts["free_atoms"])
             plan.append((t, [
@@ -353,8 +359,7 @@ def _fixture_atms(fixtures: Path) -> List[Template]:
 def argumentation(rng: random.Random, fixtures: Path) -> List[Tuple[Template, List[Tuple[str, ...]]]]:
     plan = []
     for t in _fixture_atms(fixtures):
-        plan.append((t, [("atms", "{file}", "--nogoods"),
-                         ("atms", "{file}", "--node", "@" + rng.choice(t.facts["nodes"]))]))
+        plan.append((t, _atms_commands(rng, t)))
     for layered in (False, True):
         for n in (10, 12, 14, 16):
             t = _clash_template(rng, n, layered)
@@ -365,12 +370,16 @@ def argumentation(rng: random.Random, fixtures: Path) -> List[Tuple[Template, Li
                 ("af", "{file}", "--rule4"),
             ]))
     # (assumptions, rules): at most 15 premises, within the subset budget.
-    for n_assume, n_rules in ((4, 6), (5, 6), (6, 6), (7, 7), (8, 7)):
-        t = _atms_template(rng, f"atms-{n_assume}", "atms", n_assume, n_rules)
+    # The (4, 5) and (5, 5) problems put the list's median inside the
+    # cluster of 12-premise clash queries, so it does not jump between
+    # clusters from seed to seed.
+    for n_assume, n_rules in ((4, 5), (4, 6), (5, 5), (5, 6), (6, 6), (7, 7), (8, 7)):
+        t = _atms_template(rng, f"atms-{n_assume}-{n_rules}", "atms", n_assume, n_rules)
         plan.append((t, _atms_commands(rng, t)))
-    for i in range(2):  # above the 24-premise subset budget
-        t = _atms_template(rng, f"atms-over-{i}", "atms-over-budget", 8, 18)
-        plan.append((t, _atms_commands(rng, t)))
+    # Above the 24-premise subset budget; one query, so the refusal stays
+    # under 5% of the list.
+    t = _atms_template(rng, "atms-over", "atms-over-budget", 8, 18)
+    plan.append((t, _atms_commands(rng, t)[:1]))
     return plan
 
 
@@ -401,9 +410,9 @@ def _chain_template(rng: random.Random, n: int) -> Template:
 
 
 def _conj_template(rng: random.Random, m: int) -> Template:
-    """A wide conjunction w over at most 14 atoms, a clashing literal s below
+    """A wide conjunction w over CONJ_WIDTH atoms, a clashing literal s below
     it and an unrelated implication u into a fresh atom z."""
-    width = rng.randint(10, 14)
+    width = CONJ_WIDTH
     atoms = [f"b{i}" for i in range(width)]
     conjuncts = [atoms[i % width] for i in range(m)]
     rng.shuffle(conjuncts)
@@ -425,12 +434,16 @@ def large_formulas(rng: random.Random, fixtures: Path) -> List[Tuple[Template, L
         plan.append((t, [("check", "{file}"), ("extensions", "{file}"),
                          ("entails", "{file}", goal),
                          ("revise", "{file}", f"!@x{rng.randrange(n)}", "-o", "{out}")]))
-    for m in (50, 100, 150, 200, 250):
+    for m in (50, 75, 100, 125, 150):
         t = _conj_template(rng, m)
         goal = "@z" if rng.random() < 0.5 else f"!@{t.facts['clash']}"
         plan.append((t, [("check", "{file}"), ("extensions", "{file}"),
                          ("entails", "{file}", goal),
                          ("revise", "{file}", "@z -> @" + t.facts["clash"], "-o", "{out}")]))
+    # From about 170 conjuncts every command but `check` overflows the stack,
+    # and at 250 `check` does too: one crash, under 5% of the list.
+    for m in (200, 250):
+        plan.append((_conj_template(rng, m), [("check", "{file}")]))
     return plan
 
 

@@ -17,6 +17,7 @@ prints one JSON object.  Nothing runs on import.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import resource
@@ -27,6 +28,46 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 DEADLINE_S = 3.0
+
+_PROBE_ATOMS = [f"x{i}" for i in range(40)]
+
+
+def _probe_tree(depth: int, i: int):
+    if depth == 0:
+        return _PROBE_ATOMS[i % 40]
+    return (("&", "|", "->")[i % 3], _probe_tree(depth - 1, i * 3 + 1), _probe_tree(depth - 1, i * 7 + 2))
+
+
+def _probe_atoms(node, acc: set) -> set:
+    if isinstance(node, str):
+        acc.add(node)
+        return acc
+    _probe_atoms(node[1], acc)
+    return _probe_atoms(node[2], acc)
+
+
+def probe() -> float:
+    """Seconds this host takes for a fixed piece of pure-Python work.
+
+    The work resembles the library's (recursive tuples, frozensets, dict
+    lookups, string joins) but calls none of it, so a change to inconlog
+    does not change the probe.  The collector is off, so the probe does
+    not pay for the library's heap.
+    """
+    gc.disable()
+    start = time.perf_counter()
+    try:
+        for k in range(2):
+            atoms = frozenset(_probe_atoms(_probe_tree(5, k), set()))
+            index = {a: i for i, a in enumerate(sorted(atoms))}
+            seen: dict = {}
+            for mask in range(64):
+                key = frozenset(a for a in atoms if mask >> (index[a] % 6) & 1)
+                seen[key] = seen.get(key, 0) + 1
+            " ".join(sorted(atoms)).split()
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
 
 
 class DeadlineExceeded(BaseException):
@@ -64,9 +105,8 @@ class Runner:
     a cap is hit.
     """
 
-    def __init__(self, cli, errors, deadline: float = DEADLINE_S):
+    def __init__(self, cli, errors):
         self.cli = cli
-        self.deadline = deadline
         self.refusal: Optional[str] = None
         original = errors.CapExceeded.__init__
 
@@ -85,7 +125,7 @@ class Runner:
         start = time.perf_counter()
         try:
             try:
-                signal.setitimer(signal.ITIMER_REAL, self.deadline)
+                signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
                 rc = self.cli.run(list(argv), out=out)
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
@@ -94,7 +134,7 @@ class Runner:
         except Exception as exc:  # any crash escaping cli.run is a measured outcome
             status = "crashed:" + type(exc).__name__
         seconds = time.perf_counter() - start
-        if status is None and seconds >= self.deadline:
+        if status is None and seconds >= DEADLINE_S:
             status = "deadline"
         return Attempt(seconds, rc, out.getvalue(), status, self.refusal)
 

@@ -53,50 +53,73 @@ class Span:
         })
 
 
-def _size(result) -> int:
-    return len(result)
+class Call:
+    """One wrapped call, as the recorders of _SPANS see it."""
+
+    __slots__ = ("fn", "args", "kwargs", "result", "error")
+
+    def __init__(self, fn, args, kwargs):
+        self.fn, self.args, self.kwargs = fn, args, kwargs
+        self.result = None
+        self.error: Optional[BaseException] = None
+
+    def argument(self, name):
+        """The value the call passed (or defaulted) for a parameter, or None."""
+        try:
+            bound = inspect.signature(self.fn).bind(*self.args, **self.kwargs)
+        except (TypeError, ValueError):
+            return None
+        bound.apply_defaults()
+        return bound.arguments.get(name)
 
 
-def _argument(fn, args, kwargs, name):
-    """The value a call passed (or defaulted) for a parameter, or None."""
-    try:
-        bound = inspect.signature(fn).bind(*args, **kwargs)
-    except (TypeError, ValueError):
-        return None
-    bound.apply_defaults()
-    return bound.arguments.get(name)
+def _size(call: Call):
+    return None if call.error else len(call.result)
 
 
-def _interpretations(fn, args, kwargs) -> int:
+def _orders(call: Call):
+    """Orders enumerated; a refusal by the extension cap stopped at `cap` of them."""
+    if call.error is None:
+        return len(call.result)
+    if type(call.error).__name__ == "ExtensionCapExceeded":
+        return call.argument("cap") or 0
+    return None
+
+
+def _interpretations(call: Call):
     """2^atoms: how many interpretations preferred_models scans."""
-    theory = _argument(fn, args, kwargs, "theory")
-    extra = _argument(fn, args, kwargs, "extra_atoms") or ()
-    if theory is None or not hasattr(theory, "atoms"):
-        return 0
-    return 1 << len(theory.atoms() | set(extra))
+    if call.error:
+        return None
+    theory = call.argument("theory")
+    if not hasattr(theory, "atoms"):
+        return None
+    return 1 << len(theory.atoms() | set(call.argument("extra_atoms") or ()))
 
 
-# (span name, module, attribute, what to record from the result)
+# (span name, module, attribute, {info key: recorder}); a recorder reads
+# the Call and returns the value to record, or None to record nothing.
 _SPANS = [
-    ("cli", "cli", "run", None),
-    ("files.load", "files", "load_theory", None),
-    ("files.save", "files", "save_theory", None),
-    ("bridges.parse", "bridges", "parse_atms", None),
-    ("formulas.parse", "formulas", "parse_formula", None),
-    ("theory.validate", "theory", "validate", None),
-    ("theory.linear_extensions", "theory", "linear_extensions", ("orders", _size)),
-    ("theory.first_linear_extension", "theory", "first_linear_extension", ("orders", lambda r: 1)),
-    ("extensions.all_extensions", "extensions", "all_extensions", ("members", _size)),
-    ("arguments.mus", "arguments", "minimal_unsat_subsets", ("found", _size)),
-    ("arguments.supports", "arguments", "minimal_entailing_subsets", ("found", _size)),
-    ("arguments.sweep", "arguments", "believed_premises", None),
-    ("semantics.preferred_models", "semantics", "preferred_models", ("models", _size)),
-    ("semantics.revise", "semantics", "revise", None),
-    ("af.build", "af", "build_af", ("attacks", lambda r: len(r.attacks))),
-    ("af.stable", "af", "stable_extensions", ("found", _size)),
-    ("af.render", "af", "render_af", None),
-    ("bridges.atms", "bridges", "atms_labels", None),
-    ("bridges.atms", "bridges", "atms_nogoods", None),
+    ("cli", "cli", "run", {}),
+    ("files.load", "files", "load_theory", {}),
+    ("files.save", "files", "save_theory", {}),
+    ("bridges.parse", "bridges", "parse_atms", {}),
+    ("formulas.parse", "formulas", "parse_formula", {}),
+    ("theory.validate", "theory", "validate", {}),
+    ("theory.linear_extensions", "theory", "linear_extensions", {"orders": _orders}),
+    ("theory.first_linear_extension", "theory", "first_linear_extension",
+     {"orders": lambda call: None if call.error else 1}),
+    ("extensions.all_extensions", "extensions", "all_extensions", {"members": _size}),
+    ("arguments.mus", "arguments", "minimal_unsat_subsets", {"found": _size}),
+    ("arguments.supports", "arguments", "minimal_entailing_subsets", {"found": _size}),
+    ("arguments.sweep", "arguments", "believed_premises", {}),
+    ("semantics.preferred_models", "semantics", "preferred_models",
+     {"models": _size, "interpretations": _interpretations}),
+    ("semantics.revise", "semantics", "revise", {}),
+    ("af.build", "af", "build_af", {"attacks": lambda call: None if call.error else len(call.result.attacks)}),
+    ("af.stable", "af", "stable_extensions", {"found": _size}),
+    ("af.render", "af", "render_af", {}),
+    ("bridges.atms", "bridges", "atms_labels", {}),
+    ("bridges.atms", "bridges", "atms_nogoods", {}),
 ]
 
 
@@ -136,26 +159,26 @@ class Tracer:
 
     # ---------------------------------------------------------- wrappers
 
-    def _span_wrapper(self, name, fn, record):
+    def _span_wrapper(self, name, fn, recorders):
         tracer = self
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             span = tracer._open(name)
+            call = Call(fn, args, kwargs)
             try:
-                result = fn(*args, **kwargs)
+                call.result = fn(*args, **kwargs)
             except BaseException as exc:
+                call.error = exc
                 span.info["raised"] = 1
-                if name == "theory.linear_extensions" and type(exc).__name__ == "ExtensionCapExceeded":
-                    span.info["orders"] = _argument(fn, args, kwargs, "cap") or 0
                 raise
             finally:
                 tracer._close(span)
-            if record:
-                span.info[record[0]] = record[1](result)
-            if name == "semantics.preferred_models":
-                span.info["interpretations"] = _interpretations(fn, args, kwargs)
-            return result
+                for key, recorder in recorders.items():
+                    value = recorder(call)
+                    if value is not None:
+                        span.info[key] = value
+            return call.result
 
         return wrapper
 
@@ -217,9 +240,9 @@ class Tracer:
 
     # ---------------------------------------------------------- install
 
-    def _rebind(self, package: str, original, wrapper) -> None:
+    def _rebind(self, original, wrapper) -> None:
         for name, module in list(sys.modules.items()):
-            if name != package and not name.startswith(package + "."):
+            if name != "inconlog" and not name.startswith("inconlog."):
                 continue
             for attr, value in list(vars(module).items()):
                 if value is original:
@@ -234,36 +257,37 @@ class Tracer:
         setattr(cls, attr, make(original))
         self._restore.append(functools.partial(setattr, cls, attr, original))
 
-    def install(self, package: str = "inconlog") -> None:
+    def install(self) -> None:
         import importlib
 
+        self.absent = []
         modules = {}
         for short in ("cli", "files", "bridges", "formulas", "theory", "extensions",
                       "arguments", "semantics", "af"):
             try:
-                modules[short] = importlib.import_module(f"{package}.{short}")
+                modules[short] = importlib.import_module(f"inconlog.{short}")
             except ImportError:
-                self.absent.append(f"{package}.{short}")
-        for name, module, attr, record in _SPANS:
+                self.absent.append(f"inconlog.{short}")
+        for name, module, attr, recorders in _SPANS:
             original = getattr(modules.get(module), attr, None)
             if original is None:
-                self.absent.append(f"{package}.{module}.{attr}")
+                self.absent.append(f"inconlog.{module}.{attr}")
                 continue
-            self._rebind(package, original, self._span_wrapper(name, original, record))
+            self._rebind(original, self._span_wrapper(name, original, recorders))
         formulas = modules.get("formulas")
         dpll = getattr(formulas, "dpll_satisfiable", None)
         if dpll is None:
-            self.absent.append(f"{package}.formulas.dpll_satisfiable")
+            self.absent.append("inconlog.formulas.dpll_satisfiable")
         else:
-            self._rebind(package, dpll, self._dpll_wrapper(dpll))
+            self._rebind(dpll, self._dpll_wrapper(dpll))
         is_consistent = getattr(formulas, "is_consistent", None)
         if is_consistent is None:
-            self.absent.append(f"{package}.formulas.is_consistent")
+            self.absent.append("inconlog.formulas.is_consistent")
         else:
-            self._rebind(package, is_consistent, self._oracle_wrapper("", is_consistent))
+            self._rebind(is_consistent, self._oracle_wrapper("", is_consistent))
         index = getattr(formulas, "ConsistencyIndex", None)
         if index is None:
-            self.absent.append(f"{package}.formulas.ConsistencyIndex")
+            self.absent.append("inconlog.formulas.ConsistencyIndex")
             return
         self._patch_method(index, "__init__", self._index_init_wrapper)
         self._patch_method(index, "consistent", lambda fn: self._oracle_wrapper("consistent", fn))
