@@ -8,6 +8,10 @@ subsets (MUSes) of the premise set: against a total reliability order
 the least reliable member of each MUS is the one undermined; against
 the bare partial order every minimally reliable member is.
 
+MUSes and minimal supports come from one subset-lattice sweep,
+`minimal_subsets`, which holds !goal and any fixed premises as hard
+constraints.
+
 Given the undermining arguments for a total order, the believed set is
 the unique fixed point D = premises \\ out(D), where out(D) collects
 the victims of arguments whose support lies inside D.  It is computed
@@ -53,11 +57,50 @@ class BeliefState:
     order: TotalOrder
 
 
-def _subset_universe(ids: Tuple[str, ...], budget: int, what: str) -> None:
+def minimal_subsets(
+    by_id: Mapping[str, Formula],
+    ids: Iterable[str],
+    goal: Optional[Formula] = None,
+    hard: Tuple[str, ...] = (),
+    budget: int = DEFAULT_SUBSET_BUDGET,
+    max_atoms: int = DEFAULT_ATOM_CAP,
+) -> FrozenSet[FrozenSet[str]]:
+    """The minimal S within `ids` such that S plus `hard` entails `goal`.
+
+    With `goal` None, S plus `hard` must be unsatisfiable instead.
+    `hard` is in every tested set, never in an answer, and outside the
+    budget.  Ascending-cardinality sweep over the subset lattice,
+    skipping supersets of anything already found; at level k everything
+    smaller has been seen, so a survivor that passes is minimal.
+    """
+    ids = tuple(ids)
     if len(ids) > budget:
+        what = "MUS search" if goal is None else "support search"
         raise SubsetBudgetExceeded(
             f"{what} over {len(ids)} premises exceeds the budget of {budget}"
         )
+    index = ConsistencyIndex(
+        {pid: by_id[pid] for pid in ids + hard},
+        extra=() if goal is None else (goal,),
+        max_atoms=max_atoms,
+    )
+
+    def passes(subset: Tuple[str, ...]) -> bool:
+        if goal is None:
+            return not index.consistent(hard + subset)
+        return index.entails(hard + subset, goal)
+
+    if not passes(ids):
+        return frozenset()
+    found: List[FrozenSet[str]] = []
+    for size in range(len(ids) + 1):
+        for combo in combinations(ids, size):
+            subset = frozenset(combo)
+            if any(small <= subset for small in found):
+                continue
+            if passes(combo):
+                found.append(subset)
+    return frozenset(found)
 
 
 def minimal_unsat_subsets(
@@ -65,26 +108,10 @@ def minimal_unsat_subsets(
     budget: int = DEFAULT_SUBSET_BUDGET,
     max_atoms: int = DEFAULT_ATOM_CAP,
 ) -> FrozenSet[FrozenSet[str]]:
-    """All minimal unsatisfiable premise subsets, by premise id.
-
-    Ascending-cardinality sweep over the subset lattice, skipping
-    supersets of anything already found; at level k everything smaller
-    has been seen, so an unsatisfiable survivor is minimal.
-    """
-    ids = theory.ids
-    _subset_universe(ids, budget, "MUS search")
-    index = ConsistencyIndex(theory.formulas_by_id(), max_atoms=max_atoms)
-    if index.consistent(ids):
-        return frozenset()
-    found: List[FrozenSet[str]] = []
-    for size in range(1, len(ids) + 1):
-        for combo in combinations(ids, size):
-            subset = frozenset(combo)
-            if any(mus <= subset for mus in found):
-                continue
-            if not index.consistent(combo):
-                found.append(subset)
-    return frozenset(found)
+    """All minimal unsatisfiable premise subsets (MUSes), by premise id."""
+    return minimal_subsets(
+        theory.formulas_by_id(), theory.ids, budget=budget, max_atoms=max_atoms
+    )
 
 
 def undermining_args_linear(
@@ -166,20 +193,9 @@ def minimal_entailing_subsets(
     max_atoms: int = DEFAULT_ATOM_CAP,
 ) -> FrozenSet[FrozenSet[str]]:
     """All subset-minimal id sets within `universe` entailing the goal."""
-    ids = tuple(sorted(universe))
-    _subset_universe(ids, budget, "support search")
-    index = ConsistencyIndex(
-        {pid: by_id[pid] for pid in ids}, extra=(goal,), max_atoms=max_atoms
+    return minimal_subsets(
+        by_id, sorted(universe), goal=goal, budget=budget, max_atoms=max_atoms
     )
-    found: List[FrozenSet[str]] = []
-    for size in range(0, len(ids) + 1):
-        for combo in combinations(ids, size):
-            subset = frozenset(combo)
-            if any(small <= subset for small in found):
-                continue
-            if index.entails(combo, goal):
-                found.append(subset)
-    return frozenset(found)
 
 
 def supports(
@@ -241,19 +257,18 @@ def saturate(
 
     With a trace list supplied, appends one line per derived argument
     (premise arguments first) and one line per believed-set
-    recomputation as undermining arguments arrive.
+    recomputation as undermining arguments arrive; without one the
+    fixed point is computed once.
     """
-    if trace is not None:
-        for a in premise_arguments(theory):
-            trace.append(format_argument(a))
     args = undermining_args_linear(theory, order, budget=budget, max_atoms=max_atoms)
-    ordered = sorted(args, key=lambda a: (tuple(sorted(a.support)), a.victim))
+    if trace is None:
+        return args, believed_premises(theory, args, order)
+    trace.extend(format_argument(a) for a in premise_arguments(theory))
     accumulated: List[UnderminingArgument] = []
     state = believed_premises(theory, accumulated, order)
-    for a in ordered:
+    for a in sorted(args, key=lambda a: (tuple(sorted(a.support)), a.victim)):
         accumulated.append(a)
         state = believed_premises(theory, accumulated, order)
-        if trace is not None:
-            trace.append(format_argument(a))
-            trace.append("believed: " + " ".join(sorted(state.believed)))
-    return frozenset(accumulated), state
+        trace.append(format_argument(a))
+        trace.append("believed: " + " ".join(sorted(state.believed)))
+    return args, state

@@ -11,27 +11,26 @@ An ATMS problem has assumption atoms, node atoms and justifications
 (Horn implications from atoms to a node; "deny" justifications
 conclude a negated node and stand in for the nogood constraints).
 Encoded as a theory in which every justification outranks every
-assumption, the classic notions fall out of the argument engine:
+assumption, the classic notions fall out of the argument engine's
+subset sweep over the assumptions, with the justifications J held as
+hard constraints:
 
-  label(n)  = assumption parts of the minimal premise sets entailing n
-  nogoods   = minimal assumption parts of the minimal unsatisfiable
-              premise sets
+  label(n)  = minimal assumption sets A with A plus J entailing n
+  nogoods   = minimal assumption sets A with A plus J unsatisfiable
 
-Both are independent of which linear extension is chosen, since
-supporting arguments and MUSes never consult the order.
+By monotonicity these are the minimal assumption parts of the minimal
+premise sets entailing n (or unsatisfiable).  Both are independent of
+which linear extension is chosen, since supporting arguments and MUSes
+never consult the order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from . import formulas
-from .arguments import (
-    DEFAULT_SUBSET_BUDGET,
-    minimal_entailing_subsets,
-    minimal_unsat_subsets,
-)
+from .arguments import DEFAULT_SUBSET_BUDGET, minimal_subsets
 from .errors import TheoryFormatError
 from .formulas import Atom, Formula, Implies, Not, conj, DEFAULT_ATOM_CAP
 from .theory import Premise, ReliabilityTheory
@@ -127,10 +126,18 @@ def atms_encode(problem: AtmsProblem) -> ReliabilityTheory:
     return ReliabilityTheory(tuple(premises), pairs)
 
 
-def _minimal_sets(sets: Iterable[FrozenSet[str]]) -> FrozenSet[FrozenSet[str]]:
-    pool = set(sets)
-    return frozenset(
-        s for s in pool if not any(other < s for other in pool)
+def _assumption_sweep(
+    problem: AtmsProblem, goal: Optional[Formula], budget: int, max_atoms: int
+) -> FrozenSet[FrozenSet[str]]:
+    theory = atms_encode(problem)  # assumptions first, then justifications
+    n = len(problem.assumptions)
+    return minimal_subsets(
+        theory.formulas_by_id(),
+        theory.ids[:n],
+        goal=goal,
+        hard=theory.ids[n:],
+        budget=budget,
+        max_atoms=max_atoms,
     )
 
 
@@ -143,15 +150,7 @@ def atms_labels(
     """Minimal supporting environments for a node, as assumption sets."""
     if node not in problem.nodes:
         raise ValueError(f"unknown node {node!r}")
-    theory = atms_encode(problem)
-    entailing = minimal_entailing_subsets(
-        theory.formulas_by_id(),
-        theory.ids,
-        Atom(node),
-        budget=budget,
-        max_atoms=max_atoms,
-    )
-    return _minimal_sets(s & problem.assumptions for s in entailing)
+    return _assumption_sweep(problem, Atom(node), budget, max_atoms)
 
 
 def atms_nogoods(
@@ -160,9 +159,7 @@ def atms_nogoods(
     max_atoms: int = DEFAULT_ATOM_CAP,
 ) -> FrozenSet[FrozenSet[str]]:
     """Minimal assumption sets that can never hold together."""
-    theory = atms_encode(problem)
-    muses = minimal_unsat_subsets(theory, budget=budget, max_atoms=max_atoms)
-    return _minimal_sets(m & problem.assumptions for m in muses)
+    return _assumption_sweep(problem, None, budget, max_atoms)
 
 
 # ------------------------------------------------------------ text format

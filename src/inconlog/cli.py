@@ -59,9 +59,7 @@ def _caps(ns: argparse.Namespace) -> Caps:
 
 def _load_valid(path: str) -> theory.ReliabilityTheory:
     loaded = files.load_theory(path)
-    report = theory.validate(loaded)
-    if not report.ok:
-        raise InputError(report.issues[0].describe())
+    theory.ensure_valid(loaded)
     return loaded
 
 
@@ -71,10 +69,6 @@ def _format_id_set(ids) -> str:
 
 def _format_atom_set(atoms) -> str:
     return "{" + ",".join(sorted(atoms)) + "}"
-
-
-def _first_order(t: theory.ReliabilityTheory) -> theory.TotalOrder:
-    return theory.first_linear_extension(t)
 
 
 def _cmd_check(ns, out: IO[str]) -> int:
@@ -146,8 +140,9 @@ def _cmd_af(ns, out: IO[str]) -> int:
     caps = _caps(ns)
     t = _load_valid(ns.file)
     if not ns.rule4:
+        order = theory.first_linear_extension(t)
         framework = af_mod.linear_framework(
-            t, _first_order(t), budget=caps.mus_budget, max_atoms=caps.max_atoms
+            t, order, budget=caps.mus_budget, max_atoms=caps.max_atoms
         )
         out.write(af_mod.render_af(framework))
         return 0
@@ -180,7 +175,7 @@ def _cmd_argue(ns, out: IO[str]) -> int:
     trace: Optional[List[str]] = [] if ns.trace else None
     _, state = arguments.saturate(
         t,
-        _first_order(t),
+        theory.first_linear_extension(t),
         trace=trace,
         budget=caps.mus_budget,
         max_atoms=caps.max_atoms,

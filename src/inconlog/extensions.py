@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator
 
-from . import formulas
 from .errors import ExtensionCapExceeded
 from .formulas import ConsistencyIndex, Formula, DEFAULT_ATOM_CAP
 from .theory import (
@@ -43,9 +42,7 @@ def _greedy(index: ConsistencyIndex, ranking) -> FrozenSet[str]:
     if index.atoms is None:
         kept = []
         for pid in ranking:
-            if formulas.dpll_satisfiable(
-                [index.formulas[k] for k in kept] + [index.formulas[pid]]
-            ):
+            if index.consistent(kept + [pid]):
                 kept.append(pid)
         return frozenset(kept)
     kept = []

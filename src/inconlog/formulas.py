@@ -333,8 +333,10 @@ def _tseitin(formulas: Sequence[Formula]):
 
 
 def _dpll(clauses: List[Tuple[int, ...]], assignment: Dict[int, bool]) -> bool:
+    # One scan per round: fail, propagate the first unit clause, or pick
+    # the first unassigned literal of the first unsatisfied clause.
     while True:
-        unit = None
+        unit = pick = None
         for clause in clauses:
             unassigned = []
             satisfied = False
@@ -352,26 +354,12 @@ def _dpll(clauses: List[Tuple[int, ...]], assignment: Dict[int, bool]) -> bool:
             if len(unassigned) == 1:
                 unit = unassigned[0]
                 break
+            if pick is None:
+                pick = abs(unassigned[0])
         if unit is None:
             break
         assignment[abs(unit)] = unit > 0
 
-    for clause in clauses:
-        if not any(
-            assignment.get(abs(lit)) in (None, lit > 0) for lit in clause
-        ):
-            return False
-
-    pick = None
-    for clause in clauses:
-        if any(assignment.get(abs(lit)) == (lit > 0) for lit in clause):
-            continue
-        for lit in clause:
-            if abs(lit) not in assignment:
-                pick = abs(lit)
-                break
-        if pick is not None:
-            break
     if pick is None:
         return True
     for value in (True, False):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import importlib.resources
+import io
 
 import pytest
 
 from inconlog import files
+from inconlog.cli import run
 
 
 def fixture_text(name: str) -> str:
@@ -15,6 +17,13 @@ def fixture_text(name: str) -> str:
 
 def fixture_path(name: str) -> str:
     return str(importlib.resources.files("inconlog") / "fixtures" / name)
+
+
+def invoke(*argv):
+    """Run the CLI in-process; returns (exit code, stdout text)."""
+    out = io.StringIO()
+    code = run(list(argv), out=out)
+    return code, out.getvalue()
 
 
 @pytest.fixture(scope="session")

@@ -176,6 +176,13 @@ class TestSupports:
                 by_id, t.ids, goal
             ) == oracle_minimal_entailing(by_id, t.ids, goal)
 
+    def test_minimal_entailing_budget_is_enforced(self):
+        t = theory_of({f"p{i}": "a" for i in range(5)})
+        with pytest.raises(SubsetBudgetExceeded):
+            minimal_entailing_subsets(
+                t.formulas_by_id(), t.ids, parse_formula("a"), budget=4
+            )
+
     def test_believed_conclusions_scans_once(self):
         phi = parse_formula("phi")
         psi = parse_formula("psi")

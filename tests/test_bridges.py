@@ -14,16 +14,58 @@ from inconlog.bridges import (
     justification_formula,
     parse_atms,
 )
-from inconlog.errors import TheoryFormatError
+from inconlog.errors import SubsetBudgetExceeded, TheoryFormatError
 from inconlog.extensions import all_extensions
-from inconlog.formulas import parse_formula
+from inconlog.formulas import Atom, parse_formula
 from inconlog.theory import linear_extensions
 
-from util import oracle_pmmc, random_formula
+from conftest import invoke
+from util import (
+    oracle_minimal_entailing,
+    oracle_muses,
+    oracle_pmmc,
+    random_formula,
+)
 
 
 def sets(items):
     return frozenset(frozenset(x) for x in items)
+
+
+def minimised(sets_):
+    pool = set(sets_)
+    return frozenset(s for s in pool if not any(other < s for other in pool))
+
+
+def random_atms(rng):
+    assumptions = [f"a{i}" for i in range(1, rng.randint(1, 6) + 1)]
+    nodes = ["n1", "n2"]
+    lines = [f"assume {a}." for a in assumptions]
+    lines += [f"node {n}." for n in nodes]
+    for _ in range(rng.randint(2, 4)):
+        body = rng.sample(assumptions + nodes[:1], rng.randint(0, 2))
+        keyword = rng.choice(["just", "just", "deny"])
+        lines.append(f"{keyword} {', '.join(body)} -> {rng.choice(nodes)}.")
+    return parse_atms("\n".join(lines))
+
+
+# 8 assumptions and 18 justifications: a{i} -> m{i}, g from adjacent
+# pairs, x unconditionally and !x from four clashing pairs.
+WIDE_ATMS = "\n".join(
+    [f"assume a{i}." for i in range(1, 9)]
+    + [f"node m{i}." for i in range(1, 9)]
+    + ["node g.", "node x."]
+    + [f"just a{i} -> m{i}." for i in range(1, 9)]
+    + [f"just m{i}, m{i + 1} -> g." for i in (1, 2, 3, 5, 7)]
+    + ["just -> x."]
+    + ["deny a1, a3 -> x.", "deny a2, a4 -> x.", "deny a5, a8 -> x."]
+    + ["deny m6, m7 -> x."]
+)
+WIDE_NOGOODS = sets([{"a1", "a3"}, {"a2", "a4"}, {"a5", "a8"}, {"a6", "a7"}])
+# every nogood entails g as well
+WIDE_LABEL_G = WIDE_NOGOODS | sets(
+    [{"a1", "a2"}, {"a2", "a3"}, {"a3", "a4"}, {"a5", "a6"}, {"a7", "a8"}]
+)
 
 
 def layers(*groups):
@@ -152,6 +194,54 @@ class TestLabelsAndNogoods:
         problem = parse_atms("assume a1.\nnode n.\njust a1 -> n.")
         with pytest.raises(ValueError):
             atms_labels(problem, "zzz")
+
+    def test_random_problems_match_the_projected_oracles(self):
+        rng = random.Random(107)
+        for _ in range(60):
+            problem = random_atms(rng)
+            t = atms_encode(problem)
+            by_id = t.formulas_by_id()
+            assumptions = problem.assumptions
+            assert atms_nogoods(problem) == minimised(
+                m & assumptions for m in oracle_muses(t)
+            )
+            for node in sorted(problem.nodes):
+                entailing = oracle_minimal_entailing(by_id, t.ids, Atom(node))
+                assert atms_labels(problem, node) == minimised(
+                    s & assumptions for s in entailing
+                )
+
+
+class TestAtmsBudget:
+    def test_many_justifications_fit_the_default_budget(self):
+        problem = parse_atms(WIDE_ATMS)
+        assert len(problem.justifications) == 18
+        assert atms_nogoods(problem) == WIDE_NOGOODS
+        assert atms_labels(problem, "g") == WIDE_LABEL_G
+
+    def test_many_justifications_through_the_cli(self, tmp_path):
+        path = tmp_path / "wide.atms"
+        path.write_text(WIDE_ATMS + "\n")
+        code, text = invoke("atms", str(path), "--nogoods")
+        assert (code, text) == (0, "{a1,a3}\n{a2,a4}\n{a5,a8}\n{a6,a7}\n")
+        code, text = invoke("atms", str(path), "--node", "g")
+        assert code == 0
+        assert len(text.splitlines()) == len(WIDE_LABEL_G)
+
+    def test_assumptions_over_the_budget_are_refused(self, tmp_path):
+        text = "\n".join(
+            [f"assume a{i}." for i in range(1, 26)] + ["node n.", "just a1 -> n."]
+        )
+        problem = parse_atms(text)
+        with pytest.raises(SubsetBudgetExceeded):
+            atms_nogoods(problem)
+        with pytest.raises(SubsetBudgetExceeded):
+            atms_labels(problem, "n")
+        path = tmp_path / "over.atms"
+        path.write_text(text + "\n")
+        code, out = invoke("atms", str(path), "--nogoods")
+        assert code == 3
+        assert out.startswith("error:")
 
 
 class TestAtmsParsing:

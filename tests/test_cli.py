@@ -1,19 +1,14 @@
-import io
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
-from inconlog.cli import run
+import inconlog
 from inconlog.files import load_theory, render_theory
 
-from conftest import fixture_path
-
-
-def invoke(*argv):
-    out = io.StringIO()
-    code = run(list(argv), out=out)
-    return code, out.getvalue()
+from conftest import fixture_path, invoke
 
 
 class TestCheck:
@@ -237,13 +232,29 @@ class TestDeterminism:
         second = invoke("af", fixture_path("example3.rt"), "--rule4")
         assert first == second
 
-    @pytest.mark.skipif(
-        shutil.which("inconlog") is None, reason="console script not installed"
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param([sys.executable, "-m", "inconlog"], id="module"),
+            pytest.param(
+                ["inconlog"],
+                id="script",
+                marks=pytest.mark.skipif(
+                    shutil.which("inconlog") is None,
+                    reason="console script not installed",
+                ),
+            ),
+        ],
     )
-    def test_console_script_matches_in_process_output(self):
+    def test_console_script_matches_in_process_output(self, entry):
         argv = ["extensions", fixture_path("example3.rt")]
+        src = os.path.dirname(os.path.dirname(inconlog.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            ["inconlog", *argv], capture_output=True, text=True
+            [*entry, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         code, text = invoke(*argv)
         assert proc.returncode == code
