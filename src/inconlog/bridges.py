@@ -109,15 +109,21 @@ def atms_encode(problem: AtmsProblem) -> ReliabilityTheory:
     """One premise per assumption and per justification.
 
     Assumptions keep their atom as id; justifications are numbered in
-    declaration order.  Every assumption is less reliable than every
+    declaration order as j1, j2, ..., with the stem lengthened by
+    underscores (j_1, j__1, ...) until no number collides with an
+    assumption.  Every assumption is less reliable than every
     justification, and that is the entire order.
     """
     premises: List[Premise] = [
         Premise(name, Atom(name)) for name in sorted(problem.assumptions)
     ]
+    count = len(problem.justifications)
+    stem = "j"
+    while any(f"{stem}{k}" in problem.assumptions for k in range(1, count + 1)):
+        stem += "_"
     just_ids: List[str] = []
     for k, j in enumerate(problem.justifications):
-        pid = f"j{k + 1}"
+        pid = f"{stem}{k + 1}"
         premises.append(Premise(pid, justification_formula(j)))
         just_ids.append(pid)
     pairs = frozenset(

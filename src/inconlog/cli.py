@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 for success (and "yes" answers), 1 for "no" answers,
-2 for parse or validation problems, 3 for exceeded caps or budgets.
+2 for parse or validation problems, 3 for exceeded caps or budgets
+and for input nested deeper than the recursion limit allows.
 Output is deterministic byte for byte: collections are sorted before
 printing and nothing depends on hash order.
 
@@ -111,7 +112,9 @@ def _cmd_entails(ns, out: IO[str]) -> int:
 def _cmd_models(ns, out: IO[str]) -> int:
     caps = _caps(ns)
     t = _load_valid(ns.file)
-    models = semantics.preferred_models(t, max_atoms=caps.max_atoms)
+    models = semantics.preferred_models(
+        t, max_atoms=caps.max_atoms, extension_cap=caps.max_extensions
+    )
     for line in sorted(_format_atom_set(m) for m in models):
         print(line, file=out)
     return 0
@@ -310,6 +313,9 @@ def run(argv: Sequence[str], out: Optional[IO[str]] = None) -> int:
         return 2
     except CapExceeded as err:
         print(f"error: {err}", file=stream)
+        return 3
+    except RecursionError:
+        print("error: input nested too deeply (Python recursion limit)", file=stream)
         return 3
 
 

@@ -3,7 +3,7 @@
 Two families matter to callers: input problems (bad syntax, invalid
 theories) and resource guards (the deliberate caps on brute-force
 search).  The CLI maps the first family to exit code 2 and the second
-to exit code 3.
+to exit code 3, as it does a RecursionError from input nested too deeply.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ class AtomCapExceeded(CapExceeded):
 
 
 class ExtensionCapExceeded(CapExceeded):
-    """Too many linear extensions to enumerate."""
+    """The extension search would exceed its limit of states plus members.
+
+    `theory.linear_extensions` raises it too, when asked for more
+    orderings than its cap.
+    """
 
 
 class SubsetBudgetExceeded(CapExceeded):

@@ -2,25 +2,49 @@
 
 For one total order the most reliable set is built greedily: walk the
 premises from most to least reliable and keep each one whose addition
-leaves the collection satisfiable.  The extensions of a theory are the
-most reliable sets of all its linear extensions; a goal is a skeptical
-consequence when every extension entails it and a credulous one when
-some extension does.
+leaves the collection satisfiable.  The extensions of a theory (the
+extension set R) are the most reliable sets of all its linear
+extensions; a goal is a skeptical consequence when every extension
+entails it and a credulous one when some extension does.
+
+`all_extensions` computes R without listing linear extensions:
+
+1. Split the premises into components that share atoms.  A component
+   that is consistent on its own joins every member of R: it is
+   atom-disjoint from the rest, so it never blocks a premise and is
+   never blocked.
+2. Split the other premises into blocks: two premises share a block
+   when they share an atom or the transitive closure of the order
+   relates them (also through set-aside premises).  Blocks are
+   atom-disjoint and mutually unordered, so R is every union of the
+   set-aside premises with one extension of each block.
+3. Search each block's greedy states (placed, kept), held as bitsets,
+   depth first: a premise can be placed once every more reliable block
+   member is placed, and it is kept iff it stays consistent with the
+   kept ones.  Each distinct state is expanded once; the kept sets of
+   the complete states are the block's extensions.
+
+The extension cap bounds that work: states visited plus members built.
+`extension_factors` returns R in this factored form, which lets
+`semantics.preferred_models` read the preferred models off R without
+building its members.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator
+from itertools import product
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .errors import ExtensionCapExceeded
-from .formulas import ConsistencyIndex, Formula, DEFAULT_ATOM_CAP
+from .formulas import ConsistencyIndex, Formula, DEFAULT_ATOM_CAP, atoms_of
 from .theory import (
     DEFAULT_EXTENSION_CAP,
     ReliabilityTheory,
     TotalOrder,
+    closure_of,
     ensure_valid,
-    linear_extensions,
 )
 
 
@@ -65,6 +89,124 @@ def most_reliable_set(
     return _greedy(index, order.ranking)
 
 
+class _Work:
+    """Search states visited, held against the extension cap."""
+
+    def __init__(self, cap: int):
+        self.cap, self.states, self.blocks, self.finished = cap, 0, 0, 0
+
+    def charge(self, states: int = 0, members: int = 0) -> None:
+        self.states += states
+        if self.states + members > self.cap:
+            building = f", {members} members to build" if members else ""
+            raise ExtensionCapExceeded(
+                f"extension search: over the limit of {self.cap} states and "
+                f"members ({self.states} states visited, {self.finished} of "
+                f"{self.blocks} blocks finished{building})"
+            )
+
+
+def _block_extensions(
+    index: ConsistencyIndex, ids: Sequence[str], above: Sequence[int], work: _Work
+) -> List[FrozenSet[str]]:
+    """Kept sets of every complete greedy state over one block.
+
+    `above[i]` is the bitset of block members more reliable than ids[i].
+    """
+    size = len(ids)
+    full = (1 << size) - 1
+    # kept bitset -> its model mask, or 1 above the atom cap; 0 if it clashes
+    models = {0: index.full_mask or 1}
+    results = set()
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        placed, kept = stack.pop()
+        work.charge(states=1)
+        if placed == full:
+            results.add(kept)
+            continue
+        for i in range(size):
+            bit = 1 << i
+            if placed & bit or above[i] & ~placed:
+                continue
+            grown = kept | bit
+            if grown not in models:
+                models[grown] = (
+                    models[kept] & index.masks[ids[i]]
+                    if index.atoms is not None
+                    else int(index.consistent(ids[j] for j in range(size) if grown >> j & 1))
+                )
+            state = (placed | bit, grown if models[grown] else kept)
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    work.finished += 1
+    return [frozenset(ids[j] for j in range(size) if kept >> j & 1) for kept in results]
+
+
+def _search(
+    theory: ReliabilityTheory, work: _Work, max_atoms: int
+) -> Tuple[FrozenSet[str], List[List[FrozenSet[str]]]]:
+    # Steps 1-3 of the module docstring, with a union-find over premise ids.
+    ensure_valid(theory)
+    by_id = theory.formulas_by_id()
+    index = ConsistencyIndex(by_id, max_atoms=max_atoms)
+    parent = {pid: pid for pid in theory.ids}
+
+    def find(pid: str) -> str:
+        while parent[pid] != pid:
+            parent[pid] = parent[parent[pid]]
+            pid = parent[pid]
+        return pid
+
+    def groups() -> List[List[str]]:
+        out: Dict[str, List[str]] = {}
+        for pid in theory.ids:
+            out.setdefault(find(pid), []).append(pid)
+        return list(out.values())
+
+    owner: Dict[str, str] = {}
+    for pid in theory.ids:
+        for atom in atoms_of(by_id[pid]):
+            parent[find(pid)] = find(owner.setdefault(atom, pid))
+    fixed = set()
+    for component in groups():
+        if index.consistent(component):
+            fixed.update(component)
+    ordered = [
+        (less, more)
+        for less, more in closure_of(theory)
+        if less not in fixed and more not in fixed
+    ]
+    for less, more in ordered:
+        parent[find(less)] = find(more)
+    blocks = [group for group in groups() if group[0] not in fixed]
+    where = {pid: (b, i) for b, group in enumerate(blocks) for i, pid in enumerate(group)}
+    above = [[0] * len(group) for group in blocks]
+    for less, more in ordered:
+        b, i = where[less]
+        above[b][i] |= 1 << where[more][1]
+    work.blocks = len(blocks)
+    return frozenset(fixed), [
+        _block_extensions(index, group, above[b], work) for b, group in enumerate(blocks)
+    ]
+
+
+def extension_factors(
+    theory: ReliabilityTheory,
+    extension_cap: int = DEFAULT_EXTENSION_CAP,
+    max_atoms: int = DEFAULT_ATOM_CAP,
+) -> Tuple[FrozenSet[str], List[List[FrozenSet[str]]]]:
+    """R in factored form: the set-aside premises and each block's extensions.
+
+    R holds every union of the set-aside premises with one extension of
+    each block.  Raises ExtensionCapExceeded when the search would visit
+    more than `extension_cap` states.
+    """
+    return _search(theory, _Work(extension_cap), max_atoms)
+
+
 def all_extensions(
     theory: ReliabilityTheory,
     extension_cap: int = DEFAULT_EXTENSION_CAP,
@@ -72,18 +214,16 @@ def all_extensions(
 ) -> ExtensionSet:
     """The distinct most reliable sets over every linear extension.
 
-    A satisfiable theory short-circuits to the single extension
-    containing everything; only clashing theories pay for the
-    enumeration (which refuses to exceed the extension cap).
+    Computed by the component, block and greedy-state steps of the
+    module docstring; raises ExtensionCapExceeded when the states
+    visited plus the members built would exceed `extension_cap`.
     """
-    ensure_valid(theory)
-    index = ConsistencyIndex(theory.formulas_by_id(), max_atoms=max_atoms)
-    if index.consistent(theory.ids):
-        return ExtensionSet(frozenset((frozenset(theory.ids),)))
-    members = set()
-    for order in linear_extensions(theory, cap=extension_cap):
-        members.add(_greedy(index, order.ranking))
-    return ExtensionSet(frozenset(members))
+    work = _Work(extension_cap)
+    fixed, per_block = _search(theory, work, max_atoms)
+    work.charge(members=math.prod(len(options) for options in per_block))
+    return ExtensionSet(
+        frozenset(fixed.union(*choice) for choice in product(*per_block))
+    )
 
 
 def skeptical_entails(

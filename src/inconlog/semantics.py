@@ -5,7 +5,9 @@ preferred than N when their satisfied-premise sets differ and every
 premise M alone satisfies is outweighed by some strictly more reliable
 premise that N alone satisfies.  The preferred models of a theory are
 the maximal interpretations under this relation, over exactly the
-atoms that occur in the theory (plus any query atoms).
+atoms that occur in the theory (plus any query atoms).  They are
+exactly the models of the members of the extension set R, which is
+how `preferred_models` computes them.
 
 A conditional "alpha reasonably implies beta" is answered by adding
 alpha as a fresh most reliable premise and asking whether beta is a
@@ -16,11 +18,11 @@ construction and returns the rebuilt theory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from . import formulas
 from .errors import AtomCapExceeded
-from .extensions import skeptical_entails
+from .extensions import extension_factors, skeptical_entails
 from .formulas import (
     ConsistencyIndex,
     Formula,
@@ -99,12 +101,17 @@ def preferred_models(
     theory: ReliabilityTheory,
     extra_atoms: Iterable[str] = (),
     max_atoms: int = DEFAULT_ATOM_CAP,
+    extension_cap: int = DEFAULT_EXTENSION_CAP,
 ) -> FrozenSet[Interpretation]:
     """All maximally preferred interpretations.
 
-    Works on the quotient by satisfied-premise set: interpretations
-    with the same premise set are incomparable, so dominance only needs
-    checking between distinct premise sets.
+    The preferred models are exactly the models of the members of the
+    extension set R, so their mask is the OR over R of each member's
+    model mask.  R is taken in factored form (`extension_factors`):
+    that OR is the mask of the set-aside premises ANDed, block by
+    block, with the OR of the block's extensions' masks, decoded once.
+    `prefers` stays the public relation; the extension cap bounds the
+    search for R.
     """
     ensure_valid(theory)
     atoms = tuple(sorted(theory.atoms() | set(extra_atoms)))
@@ -117,22 +124,18 @@ def preferred_models(
         extra=tuple(formulas.Atom(a) for a in atoms),
         max_atoms=max_atoms,
     )
-    groups: Dict[FrozenSet[str], List[int]] = {}
-    for k in range(1 << len(atoms)):
-        premset = frozenset(
-            pid for pid, mask in index.masks.items() if mask >> k & 1
-        )
-        groups.setdefault(premset, []).append(k)
-    closure = closure_of(theory)
-    winners: Set[int] = set()
-    for premset, indices in groups.items():
-        dominated = any(
-            other != premset and _premset_beats(other, premset, closure) is not None
-            for other in groups
-        )
-        if not dominated:
-            winners.update(indices)
-    return frozenset(interpretation_of_index(k, atoms) for k in sorted(winners))
+    fixed, per_block = extension_factors(theory, extension_cap, max_atoms)
+    mask = index.subset_mask(fixed)
+    for options in per_block:
+        union = 0
+        for member in options:
+            union |= index.subset_mask(member)
+        mask &= union
+    return frozenset(
+        interpretation_of_index(k, atoms)
+        for k, bit in enumerate(reversed(bin(mask)[2:]))
+        if bit == "1"
+    )
 
 
 def revise(theory: ReliabilityTheory, alpha: Formula) -> ReliabilityTheory:

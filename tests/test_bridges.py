@@ -244,6 +244,27 @@ class TestAtmsBudget:
         assert out.startswith("error:")
 
 
+class TestJustificationIds:
+    def test_assumption_named_like_a_justification(self):
+        problem = parse_atms("assume j1.\nnode n.\ndeny j1 -> n.\njust -> n.")
+        t = atms_encode(problem)
+        assert len(set(t.ids)) == 3
+        assert t.formula_of("j1") == parse_formula("j1")
+        assert atms_nogoods(problem) == frozenset({frozenset({"j1"})})
+
+    def test_nogoods_through_the_cli(self, tmp_path):
+        path = tmp_path / "clash.atms"
+        path.write_text("assume j1.\nnode n.\ndeny j1 -> n.\njust -> n.\n")
+        assert invoke("atms", str(path), "--nogoods") == (0, "{j1}\n")
+
+    def test_label_through_the_cli(self, tmp_path):
+        path = tmp_path / "label.atms"
+        path.write_text(
+            "assume j1.\nassume j2.\nnode n.\njust j1 -> n.\njust j1, j2 -> n.\n"
+        )
+        assert invoke("atms", str(path), "--node", "n") == (0, "{j1}\n")
+
+
 class TestAtmsParsing:
     def test_comments_and_blanks_are_skipped(self):
         problem = parse_atms("# heading\n\nassume a1.\n  node n.\n")

@@ -58,6 +58,18 @@ class TestEntails:
         assert (code, text) == (0, "yes\n")
 
 
+class TestAntichain:
+    def test_nine_unordered_premises_with_one_clash(self, tmp_path):
+        path = tmp_path / "antichain.rt"
+        lines = ["premise p1: c", "premise p2: !c"]
+        lines += [f"premise p{i}: x{i}" for i in range(3, 10)]
+        path.write_text("\n".join(lines) + "\n")
+        code, text = invoke("extensions", str(path))
+        free = " ".join(f"p{i}" for i in range(3, 10))
+        assert code == 0
+        assert text == f"p1 {free}\np2 {free}\n(count: 2)\n"
+
+
 class TestModels:
     def test_sorted_atom_sets(self):
         code, text = invoke("models", fixture_path("example3.rt"))
@@ -182,6 +194,22 @@ class TestFailureModes:
         code, text = invoke(
             "extensions", fixture_path("example3.rt"), "--max-extensions", "2"
         )
+        assert code == 3
+        assert text.startswith("error: extension search:")
+        assert "limit of 2 " in text
+        assert "3 states visited" in text
+        assert "0 of 1 blocks finished" in text
+
+    def test_extension_cap_on_models(self):
+        code, text = invoke(
+            "models", fixture_path("example3.rt"), "--max-extensions", "2"
+        )
+        assert code == 3
+        assert text.startswith("error: extension search:")
+
+    def test_deep_formula_is_refused_without_a_traceback(self):
+        goal = "!" * 3000 + "psi"
+        code, text = invoke("entails", fixture_path("example1.rt"), goal)
         assert code == 3
         assert text.startswith("error:")
 

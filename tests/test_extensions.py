@@ -1,9 +1,14 @@
 import random
+import time
+
+import pytest
 
 from inconlog import formulas
+from inconlog.errors import ExtensionCapExceeded
 from inconlog.extensions import (
     all_extensions,
     credulous_entails,
+    extension_factors,
     most_reliable_set,
     skeptical_entails,
 )
@@ -85,6 +90,66 @@ class TestAllExtensions:
                     assert not formulas.is_consistent(
                         [by_id[q] for q in member] + [by_id[pid]]
                     )
+
+
+class TestBlockSearch:
+    def test_matches_permutation_reference_on_both_backends(self):
+        # a pool of 5 atoms and shallow formulas, so that atom components
+        # really split; order density from antichain to total
+        rng = random.Random(83)
+        for k in range(320):
+            t = random_theory(
+                rng,
+                rng.randint(1, 7),
+                ["a", "b", "c", "d", "e"],
+                (0.0, 0.2, 0.5, 0.8, 1.0)[k % 5],
+                depth=rng.randint(0, 2),
+            )
+            expected = oracle_extensions(t)
+            assert all_extensions(t).members == expected
+            assert all_extensions(t, max_atoms=0).members == expected
+
+    def test_order_through_a_set_aside_premise(self):
+        # f is consistent on its own and set aside, but b1 > f > b2 still
+        # ranks b1 above b2 in their clash
+        t = theory_of({"b1": "x", "b2": "!x", "f": "z"}, [("f", "b1"), ("b2", "f")])
+        assert all_extensions(t).members == sets([{"b1", "f"}])
+
+    def test_blocks_linked_only_through_set_aside_premises(self):
+        # a > f > nb and b > g > na cross the two clashes, as in example3
+        t = theory_of(
+            {"a": "x", "na": "!x", "b": "y", "nb": "!y", "f": "z", "g": "w"},
+            [("f", "a"), ("nb", "f"), ("g", "b"), ("na", "g")],
+        )
+        expected = sets(
+            [{"a", "b", "f", "g"}, {"a", "nb", "f", "g"}, {"na", "b", "f", "g"}]
+        )
+        assert oracle_extensions(t) == expected
+        assert all_extensions(t).members == expected
+        assert all_extensions(t, max_atoms=0).members == expected
+
+    def test_wide_antichain_with_one_clash(self):
+        premises = {"p00": "c", "p01": "!c"}
+        premises.update((f"p{i:02d}", f"x{i}") for i in range(2, 24))
+        t = theory_of(premises)
+        start = time.perf_counter()
+        members = all_extensions(t).members
+        assert time.perf_counter() - start < 1.0
+        free = set(premises) - {"p00", "p01"}
+        assert members == sets([free | {"p00"}, free | {"p01"}])
+
+    def test_cap_counts_states_and_members(self, example3):
+        with pytest.raises(ExtensionCapExceeded, match="extension search"):
+            all_extensions(example3, extension_cap=2)
+        assert len(all_extensions(example3, extension_cap=100)) == 3
+        # two unordered clashes: five states each, then 2 x 2 members
+        t = theory_of({"a": "x", "na": "!x", "b": "y", "nb": "!y"})
+        with pytest.raises(ExtensionCapExceeded, match="4 members to build"):
+            all_extensions(t, extension_cap=13)
+        assert len(all_extensions(t, extension_cap=14)) == 4
+        fixed, per_block = extension_factors(t, extension_cap=10)
+        assert fixed == frozenset()
+        assert sorted(map(len, per_block)) == [2, 2]
 
 
 class TestEntailment:

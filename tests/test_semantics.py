@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -86,8 +87,24 @@ class TestPreferredModels:
     def test_matches_pairwise_reference(self):
         rng = random.Random(71)
         for _ in range(50):
-            t = random_theory(rng, rng.randint(1, 4), ["a", "b"], 0.4)
+            t = random_theory(rng, rng.randint(1, 4), ["a", "b", "c"], 0.4)
             assert preferred_models(t) == oracle_preferred(t)
+
+    def test_twelve_atoms_of_disjoint_clashes(self):
+        # one premise per atom plus !(a & b) over six disjoint atom pairs:
+        # each pair keeps exactly two of its three premises, so R has 3^6
+        # members, each with one model
+        atoms = [f"a{i:02d}" for i in range(12)]
+        premises = {f"p{i:02d}": a for i, a in enumerate(atoms)}
+        premises.update(
+            (f"q{j}", f"!({atoms[2 * j]} & {atoms[2 * j + 1]})") for j in range(6)
+        )
+        t = theory_of(premises)
+        start = time.perf_counter()
+        models = preferred_models(t)
+        assert time.perf_counter() - start < 1.0
+        assert len(models) == 729
+        assert len(all_extensions(t)) == 729
 
     def test_skeptical_theorems_hold_in_every_preferred_model(self):
         rng = random.Random(73)
