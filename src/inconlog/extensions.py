@@ -22,12 +22,23 @@ entails it and a credulous one when some extension does.
    depth first: a premise can be placed once every more reliable block
    member is placed, and it is kept iff it stays consistent with the
    kept ones.  Each distinct state is expanded once; the kept sets of
-   the complete states are the block's extensions.
+   the complete states are the block's extensions.  Premises with the
+   same models and the same place in the order are kept or dropped
+   together, so they are searched as one unit.
 
-The extension cap bounds that work: states visited plus members built.
-`extension_factors` returns R in this factored form, which lets
-`semantics.preferred_models` read the preferred models off R without
-building its members.
+The states of step 3 can grow exponentially with the number of
+mutually unordered units in a block.  When a block's atoms fit the
+atom cap and its search passes about (units + 1) * 2^atoms states, the
+block is solved from its models instead: every member of R(block) is
+exactly the premise set some interpretation satisfies, so each such
+set is tested for whether an order can yield it.  A block whose atoms
+fit the cap thus costs at most about twice that model route, however
+wide it is.
+
+The extension cap bounds that work: states and model groups visited
+plus members built.  `extension_factors` returns R in this factored
+form, which lets `semantics.preferred_models` read the preferred
+models off R without building its members.
 """
 
 from __future__ import annotations
@@ -35,10 +46,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ExtensionCapExceeded
-from .formulas import ConsistencyIndex, Formula, DEFAULT_ATOM_CAP, atoms_of
+from .formulas import (
+    ConsistencyIndex,
+    Formula,
+    DEFAULT_ATOM_CAP,
+    atoms_of,
+    atoms_of_all,
+)
 from .theory import (
     DEFAULT_EXTENSION_CAP,
     ReliabilityTheory,
@@ -90,7 +107,7 @@ def most_reliable_set(
 
 
 class _Work:
-    """Search states visited, held against the extension cap."""
+    """Search states and model groups visited, held against the extension cap."""
 
     def __init__(self, cap: int):
         self.cap, self.states, self.blocks, self.finished = cap, 0, 0, 0
@@ -106,14 +123,21 @@ class _Work:
             )
 
 
-def _block_extensions(
-    index: ConsistencyIndex, ids: Sequence[str], above: Sequence[int], work: _Work
-) -> List[FrozenSet[str]]:
-    """Kept sets of every complete greedy state over one block.
+def _state_budget(units: int, atoms: int, max_atoms: int) -> Optional[int]:
+    # The model-group route costs about (units + 1) * 2^atoms steps; past
+    # that many states the greedy-state search is the dearer one.
+    return (units + 1) << atoms if atoms <= max_atoms else None
 
-    `above[i]` is the bitset of block members more reliable than ids[i].
-    """
-    size = len(ids)
+
+def _greedy_states(
+    index: ConsistencyIndex,
+    reps: Sequence[str],
+    above: Sequence[int],
+    work: _Work,
+    budget: Optional[int],
+) -> Optional[List[int]]:
+    """Kept bitsets of the complete greedy states, or None past `budget`."""
+    size = len(reps)
     full = (1 << size) - 1
     # kept bitset -> its model mask, or 1 above the atom cap; 0 if it clashes
     models = {0: index.full_mask or 1}
@@ -121,6 +145,8 @@ def _block_extensions(
     seen = {(0, 0)}
     stack = [(0, 0)]
     while stack:
+        if budget is not None and len(seen) > budget:
+            return None
         placed, kept = stack.pop()
         work.charge(states=1)
         if placed == full:
@@ -133,25 +159,114 @@ def _block_extensions(
             grown = kept | bit
             if grown not in models:
                 models[grown] = (
-                    models[kept] & index.masks[ids[i]]
+                    models[kept] & index.masks[reps[i]]
                     if index.atoms is not None
-                    else int(index.consistent(ids[j] for j in range(size) if grown >> j & 1))
+                    else int(index.consistent(reps[j] for j in range(size) if grown >> j & 1))
                 )
             state = (placed | bit, grown if models[grown] else kept)
             if state not in seen:
                 seen.add(state)
                 stack.append(state)
+    return list(results)
+
+
+def _realisable_groups(
+    index: ConsistencyIndex, reps: Sequence[str], above: Sequence[int], work: _Work
+) -> List[int]:
+    """Bitsets of the satisfied premise sets that some order yields.
+
+    A member of R(block) is maximal consistent, so it is exactly the
+    premise set some interpretation satisfies.  That set is realisable
+    when every premise can be placed: an in-set one whenever its more
+    reliable premises are placed, an out-of-set one once the in-set
+    premises placed so far refute it.  Placing only ever enables more
+    placements, so the order of placement does not matter.
+    """
+    size = len(reps)
+    masks = [index.masks[pid] for pid in reps]
+    groups = {0: index.full_mask}
+    for i, mask in enumerate(masks):
+        split: Dict[int, int] = {}
+        for sat, models in groups.items():
+            if models & mask:
+                split[sat | 1 << i] = models & mask
+            if models & ~mask:
+                split[sat] = models & ~mask
+        work.charge(states=len(split) - len(groups))
+        groups = split
+    realised = []
+    for sat in groups:
+        placed, models, grew = 0, index.full_mask, True
+        while grew:
+            grew = False
+            for i in range(size):
+                bit = 1 << i
+                if placed & bit or above[i] & ~placed:
+                    continue
+                if sat & bit:
+                    models &= masks[i]
+                elif models & masks[i]:
+                    continue
+                placed, grew = placed | bit, True
+        if placed == (1 << size) - 1:
+            realised.append(sat)
+    return realised
+
+
+def _block_extensions(
+    index: ConsistencyIndex,
+    ids: Sequence[str],
+    above: Sequence[int],
+    below: Sequence[int],
+    work: _Work,
+    max_atoms: int,
+) -> List[FrozenSet[str]]:
+    """R of one block; `above[i]`/`below[i]` are the bitsets of block
+    members more/less reliable than ids[i].
+
+    Premises with the same models (the same formula above the atom cap)
+    and the same `above` and `below` sets are kept or dropped together
+    in every greedy run, so each such group is searched as one unit.
+    """
+    units: Dict[tuple, List[int]] = {}
+    for i, pid in enumerate(ids):
+        same = index.masks[pid] if index.atoms is not None else index.formulas[pid]
+        units.setdefault((same, above[i], below[i]), []).append(i)
+    members = list(units.values())
+    unit_of = {i: u for u, group in enumerate(members) for i in group}
+    reps = [ids[group[0]] for group in members]
+    unit_above = [
+        sum({1 << unit_of[j] for j in range(len(ids)) if above[group[0]] >> j & 1})
+        for group in members
+    ]
+    atoms = atoms_of_all(index.formulas[pid] for pid in reps)
+    budget = _state_budget(len(reps), len(atoms), max_atoms)
+    kept_sets = _greedy_states(index, reps, unit_above, work, budget)
+    if kept_sets is None:
+        local = ConsistencyIndex(
+            {pid: index.formulas[pid] for pid in reps}, max_atoms=max_atoms
+        )
+        kept_sets = _realisable_groups(local, reps, unit_above, work)
     work.finished += 1
-    return [frozenset(ids[j] for j in range(size) if kept >> j & 1) for kept in results]
+    return [
+        frozenset(
+            ids[i] for u, group in enumerate(members) if kept >> u & 1 for i in group
+        )
+        for kept in kept_sets
+    ]
 
 
 def _search(
-    theory: ReliabilityTheory, work: _Work, max_atoms: int
+    theory: ReliabilityTheory,
+    work: _Work,
+    max_atoms: int,
+    index: Optional[ConsistencyIndex] = None,
 ) -> Tuple[FrozenSet[str], List[List[FrozenSet[str]]]]:
     # Steps 1-3 of the module docstring, with a union-find over premise ids.
     ensure_valid(theory)
     by_id = theory.formulas_by_id()
-    index = ConsistencyIndex(by_id, max_atoms=max_atoms)
+    if index is None:
+        index = ConsistencyIndex(by_id, max_atoms=max_atoms)
     parent = {pid: pid for pid in theory.ids}
 
     def find(pid: str) -> str:
@@ -184,12 +299,15 @@ def _search(
     blocks = [group for group in groups() if group[0] not in fixed]
     where = {pid: (b, i) for b, group in enumerate(blocks) for i, pid in enumerate(group)}
     above = [[0] * len(group) for group in blocks]
+    below = [[0] * len(group) for group in blocks]
     for less, more in ordered:
-        b, i = where[less]
-        above[b][i] |= 1 << where[more][1]
+        (b, i), (_, j) = where[less], where[more]
+        above[b][i] |= 1 << j
+        below[b][j] |= 1 << i
     work.blocks = len(blocks)
     return frozenset(fixed), [
-        _block_extensions(index, group, above[b], work) for b, group in enumerate(blocks)
+        _block_extensions(index, group, above[b], below[b], work, max_atoms)
+        for b, group in enumerate(blocks)
     ]
 
 
@@ -197,14 +315,16 @@ def extension_factors(
     theory: ReliabilityTheory,
     extension_cap: int = DEFAULT_EXTENSION_CAP,
     max_atoms: int = DEFAULT_ATOM_CAP,
+    index: Optional[ConsistencyIndex] = None,
 ) -> Tuple[FrozenSet[str], List[List[FrozenSet[str]]]]:
     """R in factored form: the set-aside premises and each block's extensions.
 
     R holds every union of the set-aside premises with one extension of
-    each block.  Raises ExtensionCapExceeded when the search would visit
-    more than `extension_cap` states.
+    each block.  `index`, when given, must cover the theory's premises;
+    it saves building a second one.  Raises ExtensionCapExceeded when
+    the search would take more than `extension_cap` steps.
     """
-    return _search(theory, _Work(extension_cap), max_atoms)
+    return _search(theory, _Work(extension_cap), max_atoms, index)
 
 
 def all_extensions(
@@ -215,8 +335,8 @@ def all_extensions(
     """The distinct most reliable sets over every linear extension.
 
     Computed by the component, block and greedy-state steps of the
-    module docstring; raises ExtensionCapExceeded when the states
-    visited plus the members built would exceed `extension_cap`.
+    module docstring; raises ExtensionCapExceeded when the steps taken
+    plus the members built would exceed `extension_cap`.
     """
     work = _Work(extension_cap)
     fixed, per_block = _search(theory, work, max_atoms)

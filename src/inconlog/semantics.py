@@ -110,8 +110,9 @@ def preferred_models(
     model mask.  R is taken in factored form (`extension_factors`):
     that OR is the mask of the set-aside premises ANDed, block by
     block, with the OR of the block's extensions' masks, decoded once.
-    `prefers` stays the public relation; the extension cap bounds the
-    search for R.
+    The search for R shares this function's index, so each premise's
+    mask is computed once.  `prefers` stays the public relation; the
+    extension cap bounds the search for R.
     """
     ensure_valid(theory)
     atoms = tuple(sorted(theory.atoms() | set(extra_atoms)))
@@ -124,7 +125,7 @@ def preferred_models(
         extra=tuple(formulas.Atom(a) for a in atoms),
         max_atoms=max_atoms,
     )
-    fixed, per_block = extension_factors(theory, extension_cap, max_atoms)
+    fixed, per_block = extension_factors(theory, extension_cap, max_atoms, index)
     mask = index.subset_mask(fixed)
     for options in per_block:
         union = 0

@@ -71,6 +71,13 @@ class TestAntichain:
 
 
 class TestModels:
+    def test_many_copies_of_one_witness(self, tmp_path):
+        path = tmp_path / "copies.rt"
+        lines = [f"premise a{i}: a" for i in range(17)] + ["premise n: !a"]
+        path.write_text("\n".join(lines) + "\n")
+        code, text = invoke("models", str(path))
+        assert (code, text) == (0, "{a}\n{}\n")
+
     def test_sorted_atom_sets(self):
         code, text = invoke("models", fixture_path("example3.rt"))
         assert code == 0

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from inconlog import formulas
+from inconlog import extensions, formulas
 from inconlog.errors import ExtensionCapExceeded
 from inconlog.extensions import (
     all_extensions,
@@ -13,9 +13,16 @@ from inconlog.extensions import (
     skeptical_entails,
 )
 from inconlog.formulas import parse_formula
-from inconlog.theory import linear_extensions, theory_of
+from inconlog.semantics import satisfied_premises
+from inconlog.theory import Premise, ReliabilityTheory, linear_extensions, theory_of
 
-from util import oracle_extensions, oracle_greedy, random_theory
+from util import (
+    oracle_extensions,
+    oracle_greedy,
+    oracle_preferred,
+    random_formula,
+    random_theory,
+)
 
 
 def sets(items):
@@ -93,9 +100,17 @@ class TestAllExtensions:
 
 
 class TestBlockSearch:
-    def test_matches_permutation_reference_on_both_backends(self):
+    ROUTES = {
+        "chosen": extensions._state_budget,
+        "states": lambda units, atoms, max_atoms: None,
+        "models": lambda units, atoms, max_atoms: 0 if atoms <= max_atoms else None,
+    }
+
+    def test_matches_permutation_reference_on_both_backends(self, monkeypatch):
         # a pool of 5 atoms and shallow formulas, so that atom components
-        # really split; order density from antichain to total
+        # really split; order density from antichain to total; each block
+        # by the route the engine picks, by states only and by models
+        # whenever its atoms fit the cap
         rng = random.Random(83)
         for k in range(320):
             t = random_theory(
@@ -106,8 +121,42 @@ class TestBlockSearch:
                 depth=rng.randint(0, 2),
             )
             expected = oracle_extensions(t)
-            assert all_extensions(t).members == expected
-            assert all_extensions(t, max_atoms=0).members == expected
+            for route in self.ROUTES.values():
+                monkeypatch.setattr(extensions, "_state_budget", route)
+                assert all_extensions(t).members == expected
+                assert all_extensions(t, max_atoms=0).members == expected
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_duplicate_witnesses_are_searched_once(self, monkeypatch, route):
+        # 17 unordered copies of a against one !a: the copies are one unit,
+        # so the states do not grow with their number
+        monkeypatch.setattr(extensions, "_state_budget", self.ROUTES[route])
+        premises = {f"a{i:02d}": "a" for i in range(17)}
+        premises["n"] = "!a"
+        t = theory_of(premises)
+        expected = sets([set(premises) - {"n"}, {"n"}])
+        assert all_extensions(t, extension_cap=10).members == expected
+        assert all_extensions(t, max_atoms=0, extension_cap=10).members == expected
+
+    def test_wide_block_over_few_atoms(self):
+        # 40 distinct unordered premises over 3 atoms: too wide for the
+        # state search, answered from the 8 interpretations; R holds the
+        # premise sets of the preferred models (acceptance a03)
+        rng = random.Random(89)
+        by_mask = {}
+        while len(by_mask) < 40:
+            f = random_formula(rng, ["a", "b", "c"], 3)
+            by_mask.setdefault(formulas.models_mask(f, ("a", "b", "c")), f)
+        t = ReliabilityTheory(
+            tuple(Premise(f"p{i:02d}", f) for i, f in enumerate(by_mask.values())),
+            frozenset(),
+        )
+        start = time.perf_counter()
+        members = all_extensions(t).members
+        assert time.perf_counter() - start < 1.0
+        assert members == frozenset(
+            satisfied_premises(m, t) for m in oracle_preferred(t)
+        )
 
     def test_order_through_a_set_aside_premise(self):
         # f is consistent on its own and set aside, but b1 > f > b2 still
