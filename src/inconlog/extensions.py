@@ -37,8 +37,8 @@ wide it is.
 
 The extension cap bounds that work: states and model groups visited
 plus members built.  `extension_factors` returns R in this factored
-form, which lets `semantics.preferred_models` read the preferred
-models off R without building its members.
+form; `semantics.preferred_models` reads the preferred models off it,
+and entailment builds only the blocks that share an atom with the goal.
 """
 
 from __future__ import annotations
@@ -80,19 +80,12 @@ class ExtensionSet:
 
 
 def _greedy(index: ConsistencyIndex, ranking) -> FrozenSet[str]:
-    if index.atoms is None:
-        kept = []
-        for pid in ranking:
-            if index.consistent(kept + [pid]):
-                kept.append(pid)
-        return frozenset(kept)
-    kept = []
-    mask = index.full_mask
+    kept, state = [], index.top
     for pid in ranking:
-        joint = mask & index.masks[pid]
-        if joint:
-            mask = joint
+        grown = index.meet(state, pid)
+        if grown is not None:
             kept.append(pid)
+            state = grown
     return frozenset(kept)
 
 
@@ -139,8 +132,8 @@ def _greedy_states(
     """Kept bitsets of the complete greedy states, or None past `budget`."""
     size = len(reps)
     full = (1 << size) - 1
-    # kept bitset -> its model mask, or 1 above the atom cap; 0 if it clashes
-    models = {0: index.full_mask or 1}
+    # kept bitset -> its index state, None if it clashes
+    kept_state = {0: index.top}
     results = set()
     seen = {(0, 0)}
     stack = [(0, 0)]
@@ -157,13 +150,9 @@ def _greedy_states(
             if placed & bit or above[i] & ~placed:
                 continue
             grown = kept | bit
-            if grown not in models:
-                models[grown] = (
-                    models[kept] & index.masks[reps[i]]
-                    if index.atoms is not None
-                    else int(index.consistent(reps[j] for j in range(size) if grown >> j & 1))
-                )
-            state = (placed | bit, grown if models[grown] else kept)
+            if grown not in kept_state:
+                kept_state[grown] = index.meet(kept_state[kept], reps[i])
+            state = (placed | bit, kept if kept_state[grown] is None else grown)
             if state not in seen:
                 seen.add(state)
                 stack.append(state)
@@ -230,8 +219,7 @@ def _block_extensions(
     """
     units: Dict[tuple, List[int]] = {}
     for i, pid in enumerate(ids):
-        same = index.masks[pid] if index.atoms is not None else index.formulas[pid]
-        units.setdefault((same, above[i], below[i]), []).append(i)
+        units.setdefault((index.same_models_key(pid), above[i], below[i]), []).append(i)
     members = list(units.values())
     unit_of = {i: u for u, group in enumerate(members) for i in group}
     reps = [ids[group[0]] for group in members]
@@ -346,6 +334,27 @@ def all_extensions(
     )
 
 
+def _entails(theory, goal, extension_cap, max_atoms, verdict) -> bool:
+    # Blocks sharing no atom with the goal are consistent and
+    # atom-disjoint from it and from the rest of every member, so they
+    # cannot change a member's verdict: only the others are multiplied out.
+    index = ConsistencyIndex(
+        theory.formulas_by_id(), extra=(goal,), max_atoms=max_atoms
+    )
+    work = _Work(extension_cap)
+    fixed, per_block = _search(theory, work, max_atoms, index)
+    goal_atoms = atoms_of(goal)
+    relevant = [
+        options
+        for options in per_block
+        if goal_atoms & atoms_of_all(index.formulas[pid] for pid in set().union(*options))
+    ]
+    work.charge(members=math.prod(len(options) for options in relevant))
+    return verdict(
+        index.entails(fixed.union(*choice), goal) for choice in product(*relevant)
+    )
+
+
 def skeptical_entails(
     theory: ReliabilityTheory,
     goal: Formula,
@@ -353,13 +362,7 @@ def skeptical_entails(
     max_atoms: int = DEFAULT_ATOM_CAP,
 ) -> bool:
     """True iff every extension classically entails the goal."""
-    index = ConsistencyIndex(
-        theory.formulas_by_id(), extra=(goal,), max_atoms=max_atoms
-    )
-    return all(
-        index.entails(member, goal)
-        for member in all_extensions(theory, extension_cap, max_atoms)
-    )
+    return _entails(theory, goal, extension_cap, max_atoms, all)
 
 
 def credulous_entails(
@@ -369,10 +372,4 @@ def credulous_entails(
     max_atoms: int = DEFAULT_ATOM_CAP,
 ) -> bool:
     """True iff at least one extension classically entails the goal."""
-    index = ConsistencyIndex(
-        theory.formulas_by_id(), extra=(goal,), max_atoms=max_atoms
-    )
-    return any(
-        index.entails(member, goal)
-        for member in all_extensions(theory, extension_cap, max_atoms)
-    )
+    return _entails(theory, goal, extension_cap, max_atoms, any)

@@ -15,12 +15,13 @@ or "~" (tightest), then "&", then "|", then "->" (loosest,
 right-associative; "&" and "|" associate to the left).  Whitespace is
 insignificant.
 
-Satisfiability and entailment are decided by exhaustive valuation.
-For speed we represent the set of models of a formula as a bitmask
-over the 2^n valuations of a fixed atom tuple (valuation k makes atom
-i true iff bit i of k is set), so a conjunction of premises is just a
-bitwise AND.  Above the atom cap a small DPLL procedure over a Tseitin
-translation takes over; the two backends must agree wherever both run.
+Satisfiability and entailment are decided by `ConsistencyIndex`, the
+one oracle that picks a backend and owns the model masks.  Up to the
+atom cap it represents the models of a formula as a bitmask over the
+2^n valuations of a fixed atom tuple (valuation k makes atom i true iff
+bit i of k is set), so a conjunction of premises is a bitwise AND.
+Above the cap a small DPLL procedure over a Tseitin translation takes
+over; the two backends must agree wherever both run.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ def disj(left: Formula, right: Formula) -> Formula:
     return Implies(Not(left), right)
 
 
-@functools.lru_cache(maxsize=None)
 def atoms_of(formula: Formula) -> FrozenSet[str]:
     if isinstance(formula, Atom):
         return frozenset((formula.name,))
@@ -269,7 +269,7 @@ def all_interpretations(
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _atom_pattern(bit: int, width_bits: int) -> int:
     # Bitmask over 2^width_bits valuations selecting those with bit set.
     run = 1 << bit
@@ -282,7 +282,6 @@ def _atom_pattern(bit: int, width_bits: int) -> int:
     return pattern
 
 
-@functools.lru_cache(maxsize=None)
 def models_mask(formula: Formula, atoms: Tuple[str, ...]) -> int:
     """Bitmask of the valuations over `atoms` that satisfy the formula."""
     n = len(atoms)
@@ -385,23 +384,16 @@ def is_consistent(
     formulas: Iterable[Formula], max_atoms: int = DEFAULT_ATOM_CAP
 ) -> bool:
     """True iff some interpretation satisfies every formula."""
-    fs = tuple(formulas)
-    atoms = tuple(sorted(atoms_of_all(fs)))
-    if len(atoms) > max_atoms:
-        return dpll_satisfiable(fs)
-    mask = (1 << (1 << len(atoms))) - 1
-    for f in fs:
-        mask &= models_mask(f, atoms)
-        if not mask:
-            return False
-    return True
+    fs = dict(enumerate(formulas))
+    return ConsistencyIndex(fs, max_atoms=max_atoms).consistent(fs)
 
 
 def entails(
     formulas: Iterable[Formula], goal: Formula, max_atoms: int = DEFAULT_ATOM_CAP
 ) -> bool:
     """True iff every model of the formulas satisfies the goal."""
-    return not is_consistent(tuple(formulas) + (Not(goal),), max_atoms=max_atoms)
+    fs = dict(enumerate(formulas))
+    return ConsistencyIndex(fs, extra=(goal,), max_atoms=max_atoms).entails(fs, goal)
 
 
 def is_tautology(formula: Formula, max_atoms: int = DEFAULT_ATOM_CAP) -> bool:
@@ -409,11 +401,13 @@ def is_tautology(formula: Formula, max_atoms: int = DEFAULT_ATOM_CAP) -> bool:
 
 
 class ConsistencyIndex:
-    """Shared satisfiability/entailment oracle over a fixed id -> formula map.
+    """The satisfiability/entailment oracle over a fixed id -> formula map.
 
-    Built once per theory (plus any query formulas), it fixes the atom
-    tuple up front so repeated subset checks are single bitwise ANDs.
-    When the atom count is over the cap it degrades to per-call DPLL.
+    It owns both backends.  Up to `max_atoms` atoms (formulas plus the
+    `extra` query formulas) it computes each formula's model mask once,
+    here, and answers by bitwise ANDs; above the cap `atoms` is None and
+    every call runs DPLL.  A greedy walk grows a state from `top` by
+    `meet`: a kept set's mask, or its formulas above the cap.
     """
 
     def __init__(
@@ -423,22 +417,26 @@ class ConsistencyIndex:
         max_atoms: int = DEFAULT_ATOM_CAP,
     ):
         self.formulas = dict(formulas)
-        self._extra = tuple(extra)
-        atoms = sorted(atoms_of_all(list(self.formulas.values()) + list(self._extra)))
-        if len(atoms) <= max_atoms:
-            self.atoms: Optional[Tuple[str, ...]] = tuple(atoms)
-            self.full_mask = (1 << (1 << len(atoms))) - 1
-            self.masks = {
-                pid: models_mask(f, self.atoms) for pid, f in self.formulas.items()
-            }
-        else:
-            self.atoms = None
-            self.full_mask = 0
-            self.masks = {}
+        extra = tuple(extra)
+        atoms = tuple(sorted(atoms_of_all([*self.formulas.values(), *extra])))
+        self.atoms: Optional[Tuple[str, ...]] = atoms if len(atoms) <= max_atoms else None
+        if self.atoms is None:
+            self.full_mask, self.top, self.masks, self._extra_masks = 0, (), {}, {}
+            return
+        self.full_mask = self.top = (1 << (1 << len(atoms))) - 1
+        self.masks = {pid: models_mask(f, atoms) for pid, f in self.formulas.items()}
+        self._extra_masks = {f: models_mask(f, atoms) for f in extra}
 
-    def mask_of(self, formula: Formula) -> int:
-        assert self.atoms is not None
-        return models_mask(formula, self.atoms)
+    def same_models_key(self, pid: str) -> object:
+        """Equal for premises with the same models (above the cap: formulas)."""
+        return self.formulas[pid] if self.atoms is None else self.masks[pid]
+
+    def meet(self, state, pid: str):
+        """The state narrowed by premise `pid`, or None if they clash."""
+        if self.atoms is None:
+            grown = state + (self.formulas[pid],)
+            return grown if dpll_satisfiable(grown) else None
+        return state & self.masks[pid] or None
 
     def subset_mask(self, ids: Iterable[str]) -> int:
         mask = self.full_mask
@@ -454,7 +452,8 @@ class ConsistencyIndex:
         return self.subset_mask(ids) != 0
 
     def entails(self, ids: Iterable[str], goal: Formula) -> bool:
+        """Do the premises `ids` entail `goal`, one of the `extra` formulas?"""
         if self.atoms is None:
             fs = tuple(self.formulas[pid] for pid in ids) + (Not(goal),)
             return not dpll_satisfiable(fs)
-        return self.subset_mask(ids) & ~self.mask_of(goal) == 0
+        return self.subset_mask(ids) & ~self._extra_masks[goal] == 0

@@ -55,6 +55,10 @@ class ReliabilityTheory:
     def atoms(self) -> FrozenSet[str]:
         return formulas.atoms_of_all(p.formula for p in self.premises)
 
+    @functools.cached_property
+    def closure(self) -> FrozenSet[Pair]:  # computed once per theory
+        return transitive_closure(self.order)
+
 
 def theory_of(
     premises: Mapping[str, "Formula | str"] | Iterable[Tuple[str, "Formula | str"]],
@@ -91,9 +95,8 @@ def transitive_closure(pairs: Iterable[Pair]) -> FrozenSet[Pair]:
     return frozenset((x, y) for x, ys in reach.items() for y in ys)
 
 
-@functools.lru_cache(maxsize=None)
 def closure_of(theory: ReliabilityTheory) -> FrozenSet[Pair]:
-    return transitive_closure(theory.order)
+    return theory.closure
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,6 @@ def _find_cycle(pairs: FrozenSet[Pair], start: str) -> Tuple[str, ...]:
     return (start, start)
 
 
-@functools.lru_cache(maxsize=None)
 def _structural_issues(theory: ReliabilityTheory) -> Tuple[ValidationIssue, ...]:
     issues: List[ValidationIssue] = []
     seen: Set[str] = set()
@@ -150,8 +152,7 @@ def _structural_issues(theory: ReliabilityTheory) -> Tuple[ValidationIssue, ...]
         for name in (x, y):
             if name not in declared:
                 issues.append(ValidationIssue("dangling-id", (name,)))
-    closure = closure_of(theory)
-    cyclic = sorted({x for x, y in closure if x == y})
+    cyclic = sorted({x for x, y in theory.closure if x == y})
     for node in cyclic:
         issues.append(ValidationIssue("cycle", _find_cycle(theory.order, node)))
         break  # one witness is enough

@@ -57,6 +57,35 @@ class TestEntails:
         )
         assert (code, text) == (0, "yes\n")
 
+    def test_blocks_apart_from_the_goal_are_not_multiplied_out(self, tmp_path):
+        # 17 unordered clash pairs give R 2^17 members; the goal z shares
+        # no atom with any pair, and x3 with one of them
+        path = tmp_path / "pairs.rt"
+        lines = [f"premise p{i}: x{i}\npremise n{i}: !x{i}" for i in range(17)]
+        path.write_text("\n".join(lines) + "\npremise f: z\n")
+        assert invoke("entails", str(path), "z") == (0, "yes\n")
+        assert invoke("entails", str(path), "x3") == (1, "no\n")
+        assert invoke("entails", str(path), "x3", "--credulous") == (0, "yes\n")
+
+
+class TestDeepFormulas:
+    def test_four_hundred_conjuncts(self, tmp_path):
+        # one premise of 400 conjuncts over 12 atoms, as in the benchmark's
+        # wide conjunctions
+        path = tmp_path / "conj.rt"
+        conjuncts = " & ".join(f"b{i % 12}" for i in range(400))
+        path.write_text(
+            f"premise s: !b3\npremise u: b5 -> z\npremise w: {conjuncts}\norder s < w\n"
+        )
+        atoms = ",".join(sorted(f"b{i}" for i in range(12)))
+        assert invoke("check", str(path)) == (0, "valid\n")
+        assert invoke("extensions", str(path)) == (0, "u w\n(count: 1)\n")
+        assert invoke("entails", str(path), "z") == (0, "yes\n")
+        assert invoke("models", str(path)) == (0, "{" + atoms + ",z}\n")
+        target = tmp_path / "revised.rt"
+        assert invoke("revise", str(path), "!z", "-o", str(target)) == (0, "")
+        assert f"premise w: {conjuncts}\n" in target.read_text()
+
 
 class TestAntichain:
     def test_nine_unordered_premises_with_one_clash(self, tmp_path):

@@ -231,6 +231,36 @@ class TestEntailment:
             assert skeptical_entails(t, goal) == all(verdicts)
             assert credulous_entails(t, goal) == any(verdicts)
 
+    def test_factored_entailment_matches_the_definition(self):
+        # goals over some of the 5 atoms plus a fresh one, so that blocks
+        # sharing no atom with the goal are left out of the product; the
+        # verdicts come member by member from the full extension set
+        rng = random.Random(71)
+        pool = ["a", "b", "c", "d", "e"]
+        for k in range(150):
+            t = random_theory(
+                rng, rng.randint(1, 7), pool, (0.0, 0.3, 0.7)[k % 3], depth=rng.randint(0, 2)
+            )
+            goal = random_formula(rng, rng.sample(pool, rng.randint(1, 3)) + ["f"], 2)
+            by_id = t.formulas_by_id()
+            verdicts = [
+                formulas.entails([by_id[pid] for pid in member], goal)
+                for member in all_extensions(t)
+            ]
+            for max_atoms in (20, 0):
+                assert skeptical_entails(t, goal, max_atoms=max_atoms) == all(verdicts)
+                assert credulous_entails(t, goal, max_atoms=max_atoms) == any(verdicts)
+
+    def test_only_blocks_sharing_an_atom_with_the_goal_are_charged(self):
+        # two unordered clashes: 5 states each, then 2 members for x alone
+        t = theory_of({"a": "x", "na": "!x", "b": "y", "nb": "!y"})
+        assert not skeptical_entails(t, parse_formula("x"), extension_cap=12)
+        assert credulous_entails(t, parse_formula("x"), extension_cap=12)
+        with pytest.raises(ExtensionCapExceeded, match="2 members to build"):
+            skeptical_entails(t, parse_formula("x"), extension_cap=11)
+        with pytest.raises(ExtensionCapExceeded, match="4 members to build"):
+            skeptical_entails(t, parse_formula("x & y"), extension_cap=13)
+
     def test_skeptical_is_stronger(self):
         rng = random.Random(67)
         for _ in range(60):

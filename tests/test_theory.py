@@ -1,11 +1,17 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from inconlog import formulas
+from inconlog.extensions import all_extensions, skeptical_entails
+from inconlog.semantics import preferred_models
 from inconlog.errors import ExtensionCapExceeded, InvalidTheoryError
 from inconlog.theory import (
     TotalOrder,
+    closure_of,
+    ensure_valid,
     first_linear_extension,
     linear_extensions,
     min_under,
@@ -149,3 +155,21 @@ class TestOrderQueries:
                 continue
             for order in linear_extensions(t):
                 assert min_under(order, subset) in minimal_elements(t, subset)
+
+
+class TestLifetimes:
+    def test_a_dropped_theory_frees_its_formulas(self):
+        # no process-wide cache keeps a premise alive after its theory
+        premise = formulas.parse_formula("a & (b -> c)")
+        probe = weakref.ref(premise)
+        t = theory_of({"p": premise, "q": "!a", "r": "c"}, [("q", "p")])
+        ensure_valid(t)
+        assert validate(t).ok
+        assert closure_of(t) == frozenset({("q", "p")})
+        assert len(all_extensions(t)) == 1
+        assert skeptical_entails(t, formulas.parse_formula("c"))
+        assert len(preferred_models(t)) == 2
+        assert not formulas.is_consistent(t.formulas_by_id().values())
+        del t, premise
+        gc.collect()
+        assert probe() is None
