@@ -98,11 +98,9 @@ from .theory import (
     ValidationIssue,
     ValidationReport,
     first_linear_extension,
-    linear_extensions,
     min_under,
     minimal_elements,
     theory_of,
-    transitive_closure,
     validate,
 )
 

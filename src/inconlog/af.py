@@ -32,7 +32,7 @@ from .arguments import (
 )
 from .errors import SearchBudgetExceeded
 from .formulas import DEFAULT_ATOM_CAP
-from .theory import ReliabilityTheory, TotalOrder, transitive_closure
+from .theory import ReliabilityTheory, TotalOrder, order_bits
 
 DEFAULT_SEARCH_BUDGET = 40
 
@@ -190,8 +190,7 @@ def is_ignored(theory: ReliabilityTheory, ext: ArgExtension) -> bool:
         if isinstance(a, UnderminingArgument)
         for pid in a.support
     }
-    closed = transitive_closure(set(theory.order) | induced)
-    return any(x == y for x, y in closed)
+    return bool(order_bits(theory.order_bits.names, theory.order | induced).stuck)
 
 
 def af_belief_state(theory: ReliabilityTheory, ext: ArgExtension) -> FrozenSet[str]:

@@ -42,11 +42,7 @@ class AtomCapExceeded(CapExceeded):
 
 
 class ExtensionCapExceeded(CapExceeded):
-    """The extension search would exceed its limit of states plus members.
-
-    `theory.linear_extensions` raises it too, when asked for more
-    orderings than its cap.
-    """
+    """The extension search would exceed its limit of states plus members."""
 
 
 class SubsetBudgetExceeded(CapExceeded):

@@ -13,10 +13,13 @@ entails it and a credulous one when some extension does.
    that is consistent on its own joins every member of R: it is
    atom-disjoint from the rest, so it never blocks a premise and is
    never blocked.
-2. Split the other premises into blocks: two premises share a block
-   when they share an atom or the transitive closure of the order
-   relates them (also through set-aside premises).  Blocks are
-   atom-disjoint and mutually unordered, so R is every union of the
+2. The top chain t1 > t2 > ... of the other premises, each link above
+   all of them not yet on the chain, comes first and in this order in
+   every linear extension, so its order pairs tie nothing together.
+   Split the other premises into blocks: two share a block when they
+   share an atom or, both off the top chain, the order relates them
+   (also through set-aside premises).  Blocks are atom-disjoint and
+   ordered only through the top chain, so R is every union of the
    set-aside premises with one extension of each block.
 3. Search each block's greedy states (placed, kept), held as bitsets,
    depth first: a premise can be placed once every more reliable block
@@ -38,15 +41,18 @@ wide it is.
 The extension cap bounds that work: states and model groups visited
 plus members built.  `extension_factors` returns R in this factored
 form; `semantics.preferred_models` reads the preferred models off it,
-and entailment builds only the blocks that share an atom with the goal.
+and entailment builds only the blocks, and consults only the set-aside
+components, that share an atom with the goal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ExtensionCapExceeded
 from .formulas import (
@@ -60,8 +66,8 @@ from .theory import (
     DEFAULT_EXTENSION_CAP,
     ReliabilityTheory,
     TotalOrder,
-    closure_of,
     ensure_valid,
+    positions_of,
 )
 
 
@@ -202,46 +208,19 @@ def _realisable_groups(
     return realised
 
 
-def _block_extensions(
-    index: ConsistencyIndex,
-    ids: Sequence[str],
-    above: Sequence[int],
-    below: Sequence[int],
-    work: _Work,
-    max_atoms: int,
-) -> List[FrozenSet[str]]:
-    """R of one block; `above[i]`/`below[i]` are the bitsets of block
-    members more/less reliable than ids[i].
-
-    Premises with the same models (the same formula above the atom cap)
-    and the same `above` and `below` sets are kept or dropped together
-    in every greedy run, so each such group is searched as one unit.
-    """
-    units: Dict[tuple, List[int]] = {}
-    for i, pid in enumerate(ids):
-        units.setdefault((index.same_models_key(pid), above[i], below[i]), []).append(i)
-    members = list(units.values())
-    unit_of = {i: u for u, group in enumerate(members) for i in group}
-    reps = [ids[group[0]] for group in members]
-    unit_above = [
-        sum({1 << unit_of[j] for j in range(len(ids)) if above[group[0]] >> j & 1})
-        for group in members
-    ]
-    atoms = atoms_of_all(index.formulas[pid] for pid in reps)
-    budget = _state_budget(len(reps), len(atoms), max_atoms)
-    kept_sets = _greedy_states(index, reps, unit_above, work, budget)
-    if kept_sets is None:
-        local = ConsistencyIndex(
-            {pid: index.formulas[pid] for pid in reps}, max_atoms=max_atoms
-        )
-        kept_sets = _realisable_groups(local, reps, unit_above, work)
-    work.finished += 1
-    return [
-        frozenset(
-            ids[i] for u, group in enumerate(members) if kept >> u & 1 for i in group
-        )
-        for kept in kept_sets
-    ]
+def _components(left: int, linked: Callable[[int], int]) -> List[int]:
+    """The connected parts of the positions in `left` as bitsets, lowest
+    position first; `linked(i)` is the bitset of positions tied to i."""
+    parts = []
+    while left:
+        part = grow = left & -left
+        while grow:
+            reach = functools.reduce(operator.or_, map(linked, positions_of(grow)))
+            grow = reach & left & ~part
+            part |= grow
+        left &= ~part
+        parts.append(part)
+    return parts
 
 
 def _search(
@@ -249,54 +228,68 @@ def _search(
     work: _Work,
     max_atoms: int,
     index: Optional[ConsistencyIndex] = None,
-) -> Tuple[FrozenSet[str], List[List[FrozenSet[str]]]]:
-    # Steps 1-3 of the module docstring, with a union-find over premise ids.
+) -> Tuple[List[FrozenSet[str]], List[List[FrozenSet[str]]]]:
+    # Steps 1-3 of the module docstring, on bitsets over premise positions.
     ensure_valid(theory)
-    by_id = theory.formulas_by_id()
+    bits, ids = theory.order_bits, theory.ids
     if index is None:
-        index = ConsistencyIndex(by_id, max_atoms=max_atoms)
-    parent = {pid: pid for pid in theory.ids}
-
-    def find(pid: str) -> str:
-        while parent[pid] != pid:
-            parent[pid] = parent[parent[pid]]
-            pid = parent[pid]
-        return pid
-
-    def groups() -> List[List[str]]:
-        out: Dict[str, List[str]] = {}
-        for pid in theory.ids:
-            out.setdefault(find(pid), []).append(pid)
-        return list(out.values())
-
-    owner: Dict[str, str] = {}
-    for pid in theory.ids:
-        for atom in atoms_of(by_id[pid]):
-            parent[find(pid)] = find(owner.setdefault(atom, pid))
-    fixed = set()
-    for component in groups():
-        if index.consistent(component):
-            fixed.update(component)
-    ordered = [
-        (less, more)
-        for less, more in closure_of(theory)
-        if less not in fixed and more not in fixed
-    ]
-    for less, more in ordered:
-        parent[find(less)] = find(more)
-    blocks = [group for group in groups() if group[0] not in fixed]
-    where = {pid: (b, i) for b, group in enumerate(blocks) for i, pid in enumerate(group)}
-    above = [[0] * len(group) for group in blocks]
-    below = [[0] * len(group) for group in blocks]
-    for less, more in ordered:
-        (b, i), (_, j) = where[less], where[more]
-        above[b][i] |= 1 << j
-        below[b][j] |= 1 << i
+        index = ConsistencyIndex(theory.formulas_by_id(), max_atoms=max_atoms)
+    atoms = [atoms_of(p.formula) for p in theory.premises]
+    sharing: Dict[str, int] = {}
+    for i, mine in enumerate(atoms):
+        for atom in mine:
+            sharing[atom] = sharing.get(atom, 0) | 1 << i
+    near = [functools.reduce(operator.or_, map(sharing.get, mine), 0) for mine in atoms]
+    fixed, free = [], 0
+    for part in _components((1 << len(ids)) - 1, near.__getitem__):
+        members = frozenset(ids[i] for i in positions_of(part))
+        if index.consistent(members):
+            fixed.append(members)
+        else:
+            free |= part
+    top, rest = 0, free
+    for i in bits.ranking:
+        if free >> i & 1:
+            rest ^= 1 << i
+            if bits.below[i] & rest != rest:
+                break
+            top |= 1 << i
+    loose = free & ~top
+    blocks = _components(free, lambda i: near[i] | (
+        (bits.above[i] | bits.below[i]) & loose if loose >> i & 1 else 0))
     work.blocks = len(blocks)
-    return frozenset(fixed), [
-        _block_extensions(index, group, above[b], below[b], work, max_atoms)
-        for b, group in enumerate(blocks)
-    ]
+    per_block = []
+    for block in blocks:
+        # Premises with the same models (above the atom cap: formula) and
+        # the same place in the block's order form a unit, kept or dropped
+        # whole; the search sees each unit's first premise.
+        groups: Dict[tuple, List[int]] = {}
+        for i in positions_of(block):
+            key = (index.same_models_key(ids[i]), bits.above[i] & block, bits.below[i] & block)
+            groups.setdefault(key, []).append(i)
+        units = list(groups.values())
+        firsts = [group[0] for group in units]
+        # bit u of a unit's `above` is the bit at position firsts[u]
+        pick = operator.itemgetter(*firsts)
+        above = [
+            int("".join(pick(format(bits.above[i], f"0{len(ids)}b")[::-1]))[::-1], 2)
+            for i in firsts
+        ]
+        reps = [ids[i] for i in firsts]
+        width = len(atoms_of_all(index.formulas[pid] for pid in reps))
+        budget = _state_budget(len(reps), width, max_atoms)
+        kept_sets = _greedy_states(index, reps, above, work, budget)
+        if kept_sets is None:
+            local = ConsistencyIndex(
+                {pid: index.formulas[pid] for pid in reps}, max_atoms=max_atoms
+            )
+            kept_sets = _realisable_groups(local, reps, above, work)
+        work.finished += 1
+        per_block.append([
+            frozenset(ids[i] for u, group in enumerate(units) if kept >> u & 1 for i in group)
+            for kept in kept_sets
+        ])
+    return fixed, per_block
 
 
 def extension_factors(
@@ -312,7 +305,8 @@ def extension_factors(
     it saves building a second one.  Raises ExtensionCapExceeded when
     the search would take more than `extension_cap` steps.
     """
-    return _search(theory, _Work(extension_cap), max_atoms, index)
+    fixed, per_block = _search(theory, _Work(extension_cap), max_atoms, index)
+    return frozenset().union(*fixed), per_block
 
 
 def all_extensions(
@@ -327,31 +321,34 @@ def all_extensions(
     plus the members built would exceed `extension_cap`.
     """
     work = _Work(extension_cap)
-    fixed, per_block = _search(theory, work, max_atoms)
+    parts, per_block = _search(theory, work, max_atoms)
     work.charge(members=math.prod(len(options) for options in per_block))
+    fixed = frozenset().union(*parts)
     return ExtensionSet(
         frozenset(fixed.union(*choice) for choice in product(*per_block))
     )
 
 
 def _entails(theory, goal, extension_cap, max_atoms, verdict) -> bool:
-    # Blocks sharing no atom with the goal are consistent and
-    # atom-disjoint from it and from the rest of every member, so they
-    # cannot change a member's verdict: only the others are multiplied out.
+    # Set-aside components and blocks sharing no atom with the goal are
+    # consistent and atom-disjoint from it and from the rest of every
+    # member, so they cannot change a member's verdict: only the others
+    # are multiplied out and put to the oracle.
     index = ConsistencyIndex(
         theory.formulas_by_id(), extra=(goal,), max_atoms=max_atoms
     )
     work = _Work(extension_cap)
     fixed, per_block = _search(theory, work, max_atoms, index)
     goal_atoms = atoms_of(goal)
-    relevant = [
-        options
-        for options in per_block
-        if goal_atoms & atoms_of_all(index.formulas[pid] for pid in set().union(*options))
-    ]
+
+    def touches(ids) -> bool:
+        return bool(goal_atoms & atoms_of_all(index.formulas[pid] for pid in ids))
+
+    kept = frozenset().union(*(part for part in fixed if touches(part)))
+    relevant = [options for options in per_block if touches(set().union(*options))]
     work.charge(members=math.prod(len(options) for options in relevant))
     return verdict(
-        index.entails(fixed.union(*choice), goal) for choice in product(*relevant)
+        index.entails(kept.union(*choice), goal) for choice in product(*relevant)
     )
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import AtomCapExceeded, FormulaSyntaxError
 
@@ -79,10 +79,10 @@ def atoms_of(formula: Formula) -> FrozenSet[str]:
 
 
 def atoms_of_all(formulas: Iterable[Formula]) -> FrozenSet[str]:
-    out: FrozenSet[str] = frozenset()
+    out: Set[str] = set()
     for f in formulas:
         out |= atoms_of(f)
-    return out
+    return frozenset(out)
 
 
 def evaluate(formula: Formula, interpretation: Interpretation) -> bool:

@@ -32,6 +32,7 @@ from .formulas import (
 )
 from .theory import (
     DEFAULT_EXTENSION_CAP,
+    OrderBits,
     Premise,
     ReliabilityTheory,
     closure_of,
@@ -60,15 +61,16 @@ class PreferenceWitness:
 
 
 def _premset_beats(
-    winner: FrozenSet[str], loser: FrozenSet[str], closure
+    winner: FrozenSet[str], loser: FrozenSet[str], bits: OrderBits
 ) -> Optional[List[Tuple[str, str]]]:
     if winner == loser:
         return None
     pairing = []
     surplus_winner = winner - loser
     for pid in sorted(loser - winner):
+        above = bits.above[bits.position[pid]]
         match = next(
-            (q for q in sorted(surplus_winner) if (pid, q) in closure), None
+            (q for q in sorted(surplus_winner) if above >> bits.position[q] & 1), None
         )
         if match is None:
             return None
@@ -83,7 +85,7 @@ def preference_witness(
     pairing = _premset_beats(
         satisfied_premises(more, theory),
         satisfied_premises(less, theory),
-        closure_of(theory),
+        theory.order_bits,
     )
     if pairing is None:
         return None

@@ -6,6 +6,12 @@ transitive closure is taken implicitly everywhere the relation is
 consulted, so the one real validity condition is that the closure is
 irreflexive (no premise ends up less reliable than itself).
 
+The closure is held as bitsets over the premise positions, computed
+once per theory: a Kahn pass from the most reliable premise down, the
+smallest id first, gives each premise the set above it and yields the
+lexicographically least linear extension; a sweep back up the ranking
+gives the sets below.  A premise on or below a cycle is never placed.
+
 A linear extension lists all premise ids from most reliable to least
 reliable, consistently with the order: whenever x is less reliable
 than y, y appears first.
@@ -14,11 +20,14 @@ than y, y appears first.
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+)
 
 from . import formulas
-from .errors import ExtensionCapExceeded, InvalidTheoryError
+from .errors import InvalidTheoryError
 from .formulas import Formula
 
 DEFAULT_EXTENSION_CAP = 100_000
@@ -30,6 +39,61 @@ Pair = Tuple[str, str]
 class Premise:
     id: str
     formula: Formula
+
+
+class OrderBits(NamedTuple):
+    """An order's closure as bitsets over the positions of `names`:
+    above[i]/below[i] hold the positions strictly more/less reliable
+    than names[i].  `ranking` is the lexicographically least linear
+    extension; `stuck` holds the positions on or below a cycle."""
+
+    names: Tuple[str, ...]
+    position: Dict[str, int]
+    ranking: Tuple[int, ...]
+    above: Tuple[int, ...]
+    below: Tuple[int, ...]
+    stuck: FrozenSet[int]
+
+
+def positions_of(mask: int) -> List[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    low = (mask & -mask).bit_length() - 1
+    digits = bin(mask >> low)[:1:-1] if mask else ""
+    return [low + i for i, digit in enumerate(digits) if digit == "1"]
+
+
+def order_bits(names: Sequence[str], pairs: Iterable[Pair]) -> OrderBits:
+    """The closure of the (less, more) `pairs` over distinct `names`
+    that include every id the pairs mention.  The only code that reads
+    order pairs."""
+    position = {name: i for i, name in enumerate(names)}
+    lower: List[List[int]] = [[] for _ in names]
+    waiting = [0] * len(names)
+    for less, more in pairs:
+        lower[position[more]].append(position[less])
+        waiting[position[less]] += 1
+    # Kahn's algorithm, smallest name first: a placed premise passes
+    # itself and all above it on to the premises just below it.
+    above, ranking = [0] * len(names), []
+    heap = [(names[i], i) for i, count in enumerate(waiting) if not count]
+    heapq.heapify(heap)
+    while heap:
+        i = heapq.heappop(heap)[1]
+        ranking.append(i)
+        passed = above[i] | 1 << i
+        for j in lower[i]:
+            above[j] |= passed
+            waiting[j] -= 1
+            if not waiting[j]:
+                heapq.heappush(heap, (names[j], j))
+    below = [0] * len(names)
+    for i in reversed(ranking):
+        for j in lower[i]:
+            below[i] |= below[j] | 1 << j
+    stuck = frozenset(range(len(names))).difference(ranking)
+    return OrderBits(
+        tuple(names), position, tuple(ranking), tuple(above), tuple(below), stuck
+    )
 
 
 @dataclass(frozen=True)
@@ -56,8 +120,11 @@ class ReliabilityTheory:
         return formulas.atoms_of_all(p.formula for p in self.premises)
 
     @functools.cached_property
-    def closure(self) -> FrozenSet[Pair]:  # computed once per theory
-        return transitive_closure(self.order)
+    def order_bits(self) -> OrderBits:  # computed once per theory
+        # premise positions first, then any undeclared id the order names
+        names = dict.fromkeys(self.ids)
+        names.update(dict.fromkeys(name for pair in self.order for name in pair))
+        return order_bits(tuple(names), self.order)
 
 
 def theory_of(
@@ -76,27 +143,10 @@ def theory_of(
     return ReliabilityTheory(built, frozenset(order))
 
 
-def transitive_closure(pairs: Iterable[Pair]) -> FrozenSet[Pair]:
-    """Warshall closure of an arbitrary pair set."""
-    reach: Dict[str, Set[str]] = {}
-    nodes: Set[str] = set()
-    for x, y in pairs:
-        reach.setdefault(x, set()).add(y)
-        nodes.add(x)
-        nodes.add(y)
-    for via in nodes:
-        targets = reach.get(via)
-        if not targets:
-            continue
-        for x in nodes:
-            mine = reach.get(x)
-            if mine and via in mine:
-                mine |= targets
-    return frozenset((x, y) for x, ys in reach.items() for y in ys)
-
-
 def closure_of(theory: ReliabilityTheory) -> FrozenSet[Pair]:
-    return theory.closure
+    bits = theory.order_bits
+    pairs = ((x, y) for x, up in enumerate(bits.above) for y in positions_of(up))
+    return frozenset((bits.names[x], bits.names[y]) for x, y in pairs)
 
 
 @dataclass(frozen=True)
@@ -122,22 +172,26 @@ class ValidationReport:
         return not self.issues
 
 
-def _find_cycle(pairs: FrozenSet[Pair], start: str) -> Tuple[str, ...]:
-    # Shortest edge path from start back to itself, for the report.
+def _find_cycle(theory: ReliabilityTheory) -> Optional[Tuple[str, ...]]:
+    # Shortest edge path from the smallest id on a cycle back to itself.
+    stuck = sorted(theory.order_bits.names[i] for i in theory.order_bits.stuck)
+    if not stuck:
+        return None
     edges: Dict[str, List[str]] = {}
-    for x, y in sorted(pairs):
+    for x, y in sorted(theory.order):
         edges.setdefault(x, []).append(y)
-    frontier = [(start,)]
-    seen = set()
-    while frontier:
-        path = frontier.pop(0)
-        for nxt in edges.get(path[-1], ()):
-            if nxt == start:
-                return path + (start,)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(path + (nxt,))
-    return (start, start)
+    for start in stuck:
+        frontier = [(start,)]
+        seen = set()
+        while frontier:
+            path = frontier.pop(0)
+            for nxt in edges.get(path[-1], ()):
+                if nxt == start:
+                    return path + (start,)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(path + (nxt,))
+    return None
 
 
 def _structural_issues(theory: ReliabilityTheory) -> Tuple[ValidationIssue, ...]:
@@ -152,10 +206,9 @@ def _structural_issues(theory: ReliabilityTheory) -> Tuple[ValidationIssue, ...]
         for name in (x, y):
             if name not in declared:
                 issues.append(ValidationIssue("dangling-id", (name,)))
-    cyclic = sorted({x for x, y in theory.closure if x == y})
-    for node in cyclic:
-        issues.append(ValidationIssue("cycle", _find_cycle(theory.order, node)))
-        break  # one witness is enough
+    cycle = _find_cycle(theory)
+    if cycle is not None:
+        issues.append(ValidationIssue("cycle", cycle))  # one witness is enough
     return tuple(issues)
 
 
@@ -192,61 +245,11 @@ class TotalOrder:
         return {pid: i for i, pid in enumerate(self.ranking)}
 
 
-def linear_extensions(
-    theory: ReliabilityTheory, cap: int = DEFAULT_EXTENSION_CAP
-) -> List[TotalOrder]:
-    """All linear extensions of the reliability order, lexicographic.
-
-    Generated by repeatedly placing, in id order, any premise whose
-    more-reliable successors have all been placed already.  Refuses to
-    produce more than `cap` orderings.
-    """
-    ensure_valid(theory)
-    ids = sorted(theory.ids)
-    above: Dict[str, Set[str]] = {pid: set() for pid in ids}
-    for less, more in theory.order:
-        above[less].add(more)
-
-    results: List[TotalOrder] = []
-    placed: List[str] = []
-    placed_set: Set[str] = set()
-
-    def descend() -> None:
-        if len(placed) == len(ids):
-            if len(results) >= cap:
-                raise ExtensionCapExceeded(
-                    f"more than {cap} linear extensions"
-                )
-            results.append(TotalOrder(tuple(placed)))
-            return
-        for pid in ids:
-            if pid not in placed_set and above[pid] <= placed_set:
-                placed.append(pid)
-                placed_set.add(pid)
-                descend()
-                placed.pop()
-                placed_set.remove(pid)
-
-    descend()
-    return results
-
-
 def first_linear_extension(theory: ReliabilityTheory) -> TotalOrder:
-    """The lexicographically least linear extension, without enumeration."""
+    """The lexicographically least linear extension: the Kahn ranking."""
     ensure_valid(theory)
-    ids = sorted(theory.ids)
-    above: Dict[str, Set[str]] = {pid: set() for pid in ids}
-    for less, more in theory.order:
-        above[less].add(more)
-    placed: List[str] = []
-    placed_set: Set[str] = set()
-    while len(placed) < len(ids):
-        for pid in ids:
-            if pid not in placed_set and above[pid] <= placed_set:
-                placed.append(pid)
-                placed_set.add(pid)
-                break
-    return TotalOrder(tuple(placed))
+    bits = theory.order_bits
+    return TotalOrder(tuple(bits.names[i] for i in bits.ranking))
 
 
 def min_under(order: TotalOrder, ids: Iterable[str]) -> str:
@@ -265,8 +268,7 @@ def min_under(order: TotalOrder, ids: Iterable[str]) -> str:
 
 def minimal_elements(theory: ReliabilityTheory, ids: Iterable[str]) -> FrozenSet[str]:
     """Members of `ids` with no strictly less reliable member among `ids`."""
+    bits = theory.order_bits
     wanted = set(ids)
-    closure = closure_of(theory)
-    return frozenset(
-        x for x in wanted if not any((y, x) in closure for y in wanted if y != x)
-    )
+    mask = sum(1 << bits.position[pid] for pid in wanted)
+    return frozenset(pid for pid in wanted if not bits.below[bits.position[pid]] & mask)

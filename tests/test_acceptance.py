@@ -47,12 +47,12 @@ from inconlog.theory import (
     ReliabilityTheory,
     TotalOrder,
     closure_of,
-    linear_extensions,
 )
 
 from conftest import fixture_text
 from util import (
     all_strict_partial_orders,
+    linear_extensions,
     oracle_fixed_points,
     oracle_minimal_entailing,
     oracle_muses,

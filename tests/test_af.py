@@ -23,9 +23,9 @@ from inconlog.arguments import (
 from inconlog.errors import SearchBudgetExceeded
 from inconlog.extensions import all_extensions
 from inconlog.formulas import parse_formula
-from inconlog.theory import linear_extensions, theory_of
+from inconlog.theory import theory_of
 
-from util import oracle_stable, random_theory
+from util import linear_extensions, oracle_stable, random_theory
 
 
 def undermining_members(ext: ArgExtension):

@@ -22,9 +22,10 @@ from inconlog.arguments import (
 )
 from inconlog.errors import SubsetBudgetExceeded
 from inconlog.formulas import parse_formula
-from inconlog.theory import linear_extensions, theory_of
+from inconlog.theory import theory_of
 
 from util import (
+    linear_extensions,
     oracle_fixed_points,
     oracle_minimal_entailing,
     oracle_muses,

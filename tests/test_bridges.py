@@ -17,10 +17,10 @@ from inconlog.bridges import (
 from inconlog.errors import SubsetBudgetExceeded, TheoryFormatError
 from inconlog.extensions import all_extensions
 from inconlog.formulas import Atom, parse_formula
-from inconlog.theory import linear_extensions
 
 from conftest import invoke
 from util import (
+    linear_extensions,
     oracle_minimal_entailing,
     oracle_muses,
     oracle_pmmc,

@@ -124,6 +124,15 @@ class TestConditional:
         code, text = invoke("conditional", dakota, "dakota", "!mach_1_5")
         assert (code, text) == (1, "no\n")
 
+    def test_supposition_above_unordered_pairs(self, tmp_path):
+        # the supposed x0 goes above all 17 clash pairs; it is kept by
+        # every order, so its pairs do not glue the pairs into one block
+        path = tmp_path / "pairs.rt"
+        lines = [f"premise p{i}: x{i}\npremise n{i}: !x{i}" for i in range(17)]
+        path.write_text("\n".join(lines) + "\npremise f: z\n")
+        assert invoke("conditional", str(path), "x0", "z") == (0, "yes\n")
+        assert invoke("conditional", str(path), "x0", "!x0") == (1, "no\n")
+
 
 class TestRevise:
     def test_writes_a_loadable_theory(self, tmp_path):

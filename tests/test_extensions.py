@@ -13,10 +13,11 @@ from inconlog.extensions import (
     skeptical_entails,
 )
 from inconlog.formulas import parse_formula
-from inconlog.semantics import satisfied_premises
-from inconlog.theory import Premise, ReliabilityTheory, linear_extensions, theory_of
+from inconlog.semantics import revise, satisfied_premises
+from inconlog.theory import Premise, ReliabilityTheory, theory_of
 
 from util import (
+    linear_extensions,
     oracle_extensions,
     oracle_greedy,
     oracle_preferred,
@@ -176,6 +177,40 @@ class TestBlockSearch:
         assert oracle_extensions(t) == expected
         assert all_extensions(t).members == expected
         assert all_extensions(t, max_atoms=0).members == expected
+
+    def test_revised_theories_match_the_permutation_reference(self):
+        # revision puts a premise above all others, so a top chain forms
+        # and is factored out of the block union
+        rng = random.Random(97)
+        atoms = ["a", "b", "c", "d", "e"]
+        for k in range(400):
+            density = (0.0, 0.3, 0.7, 1.0)[k % 4]
+            t = random_theory(rng, rng.randint(1, 5), atoms, density, depth=rng.randint(0, 2))
+            for _ in range(rng.choice((0, 0, 1, 1, 2))):
+                t = revise(t, random_formula(rng, atoms, rng.randint(0, 2)))
+            expected = oracle_extensions(t)
+            assert all_extensions(t).members == expected
+            assert all_extensions(t, max_atoms=0).members == expected
+
+    def test_top_chain_keeps_its_order_inside_the_block(self):
+        # t > a > na with t consistent and above all: t's pairs no longer
+        # tie b and nb to its block, and inside it a still ranks over na
+        t = theory_of(
+            {"t": "x | z", "a": "x", "na": "!x", "b": "y", "nb": "!y"},
+            [("a", "t"), ("na", "a"), ("b", "t"), ("nb", "t")],
+        )
+        expected = sets([{"t", "a", "b"}, {"t", "a", "nb"}])
+        assert oracle_extensions(t) == expected
+        assert all_extensions(t).members == expected
+        fixed, per_block = extension_factors(t)
+        assert fixed == frozenset() and len(per_block) == 2
+        # a total order is all top chain, clashing links included: its
+        # blocks are split by atoms alone
+        t = theory_of(
+            {"a": "x", "na": "!x", "b": "y", "nb": "!y"},
+            [("na", "a"), ("b", "na"), ("nb", "b")],
+        )
+        assert extension_factors(t)[1] == [[frozenset({"a"})], [frozenset({"b"})]]
 
     def test_wide_antichain_with_one_clash(self):
         premises = {"p00": "c", "p01": "!c"}

@@ -1,5 +1,5 @@
-"""Guards on the library source: no process-wide caches, and one module
-that picks the consistency backend."""
+"""Guards on the library source: no process-wide caches, one module that
+picks the consistency backend, and one that reads the order pairs."""
 
 import pathlib
 import re
@@ -33,3 +33,10 @@ def test_only_formulas_picks_the_backend():
     # ConsistencyIndex decides between bitmask and DPLL
     pattern = r"\.atoms is (not )?None|dpll_satisfiable\("
     assert offending_lines(pattern, skip=("formulas.py",)) == []
+
+
+def test_one_reader_of_order_pairs():
+    # the order lives as bitsets in theory.py; only revision writes pairs
+    assert offending_lines(r"def (linear_extensions|transitive_closure)\b") == []
+    readers = offending_lines(r"closure_of\(|\.closure\b", skip=("theory.py",))
+    assert len(readers) == 1 and readers[0].startswith("semantics.py:")

@@ -1,27 +1,55 @@
 import gc
 import random
+import time
 import weakref
 
 import pytest
 
 from inconlog import formulas
 from inconlog.extensions import all_extensions, skeptical_entails
+from inconlog.errors import InvalidTheoryError
 from inconlog.semantics import preferred_models
-from inconlog.errors import ExtensionCapExceeded, InvalidTheoryError
+from inconlog.af import ArgExtension, is_ignored, partial_framework, stable_extensions
+from inconlog.arguments import UnderminingArgument
 from inconlog.theory import (
     TotalOrder,
     closure_of,
     ensure_valid,
     first_linear_extension,
-    linear_extensions,
     min_under,
     minimal_elements,
     theory_of,
-    transitive_closure,
     validate,
 )
 
-from util import oracle_linear_extensions, random_theory
+from conftest import invoke
+from util import (
+    linear_extensions,
+    oracle_linear_extensions,
+    random_theory,
+    transitive_closure,
+)
+
+
+def warshall_cycle(pairs):
+    # the smallest id on a cycle of the Warshall closure, then the
+    # shortest edge path from it back to itself, searched in pair order
+    cyclic = sorted(x for x, y in transitive_closure(pairs) if x == y)
+    if not cyclic:
+        return None
+    start = cyclic[0]
+    edges = {}
+    for x, y in sorted(pairs):
+        edges.setdefault(x, []).append(y)
+    frontier, seen = [(start,)], set()
+    while frontier:
+        path = frontier.pop(0)
+        for nxt in edges.get(path[-1], ()):
+            if nxt == start:
+                return path + (start,)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(path + (nxt,))
 
 
 class TestClosure:
@@ -36,6 +64,21 @@ class TestClosure:
     def test_cycle_closes_to_reflexive_pairs(self):
         closed = transitive_closure([("a", "b"), ("b", "a")])
         assert ("a", "a") in closed and ("b", "b") in closed
+
+    def test_bitsets_decode_to_the_warshall_closure(self):
+        rng = random.Random(131)
+        for k in range(200):
+            t = random_theory(rng, rng.randint(1, 9), ["a"], (0.1, 0.3, 0.6, 1.0)[k % 4])
+            assert closure_of(t) == transitive_closure(t.order)
+
+    def test_long_chain(self):
+        # 3000 links: no recursion and no pair set on the way
+        ids = [f"p{i:04d}" for i in range(3001)]
+        t = theory_of({pid: "a" for pid in ids}, zip(ids[1:], ids))
+        start = time.perf_counter()
+        assert first_linear_extension(t).ranking == tuple(ids)
+        assert minimal_elements(t, ids[::100]) == {ids[3000]}
+        assert time.perf_counter() - start < 1.0
 
 
 class TestValidation:
@@ -60,6 +103,30 @@ class TestValidation:
         report = validate(t)
         assert report.ok
         assert report.warnings == ("premise bad is unsatisfiable",)
+
+    def test_issues_match_the_warshall_report(self):
+        # random pairs over declared and undeclared ids, often cyclic:
+        # the same issues as the closure-pair check, in the same order,
+        # with the same cycle witness
+        rng = random.Random(137)
+        for _ in range(400):
+            ids = [f"p{i}" for i in range(rng.randint(1, 7))]
+            names = ids + ["q0", "q1"]
+            pairs = {
+                (rng.choice(names), rng.choice(names))
+                for _ in range(rng.randint(0, 10))
+            }
+            t = theory_of({pid: "a" for pid in ids}, pairs)
+            expected = [
+                f"dangling id: {name}"
+                for pair in sorted(pairs)
+                for name in pair
+                if name not in ids
+            ]
+            cycle = warshall_cycle(pairs)
+            if cycle is not None:
+                expected.append("cycle: " + " < ".join(cycle))
+            assert [issue.describe() for issue in validate(t).issues] == expected
 
     def test_validity_matches_naive_irreflexivity_check(self):
         rng = random.Random(41)
@@ -105,24 +172,16 @@ class TestLinearExtensions:
             pos = order.positions()
             assert all(pos[more] < pos[less] for less, more in example1.order)
 
-    def test_cap_is_enforced(self):
-        t = theory_of({f"p{i}": "a" for i in range(5)})
-        with pytest.raises(ExtensionCapExceeded):
-            linear_extensions(t, cap=100)
-
-    def test_invalid_theory_is_refused(self):
-        t = theory_of({"a": "x"}, [("a", "a")])
-        with pytest.raises(InvalidTheoryError):
-            linear_extensions(t)
-
     def test_first_extension_is_lexicographically_least(self):
         rng = random.Random(5)
         for _ in range(80):
             t = random_theory(rng, rng.randint(1, 6), ["a", "b"], 0.5)
-            assert (
-                first_linear_extension(t).ranking
-                == linear_extensions(t)[0].ranking
-            )
+            assert first_linear_extension(t).ranking == oracle_linear_extensions(t)[0]
+
+    def test_first_extension_refuses_an_invalid_theory(self):
+        t = theory_of({"a": "x"}, [("a", "a")])
+        with pytest.raises(InvalidTheoryError):
+            first_linear_extension(t)
 
 
 class TestOrderQueries:
@@ -155,6 +214,78 @@ class TestOrderQueries:
                 continue
             for order in linear_extensions(t):
                 assert min_under(order, subset) in minimal_elements(t, subset)
+
+
+class TestIgnored:
+    def test_matches_the_warshall_cycle_test(self):
+        # the a08 theories: an extension is ignored iff the order plus
+        # its induced pairs has a reflexive pair in its closure
+        rng = random.Random(4812)
+        for _ in range(150):
+            t = random_theory(rng, rng.randint(1, 6), ["a", "b", "c"], 0.5)
+            for ext in stable_extensions(partial_framework(t)):
+                induced = {
+                    (a.victim, pid)
+                    for a in ext.members
+                    if isinstance(a, UnderminingArgument)
+                    for pid in a.support
+                }
+                closed = transitive_closure(t.order | induced)
+                assert is_ignored(t, ext) == any(x == y for x, y in closed)
+
+    def test_a_victim_above_its_support_through_the_order(self):
+        # c < b < a; undermining a from {c} claims a < c: a cycle of three
+        t = theory_of({"a": "x", "b": "y", "c": "!x"}, [("c", "b"), ("b", "a")])
+        against = ArgExtension(frozenset({UnderminingArgument(frozenset({"c"}), "a")}), "stable")
+        along = ArgExtension(frozenset({UnderminingArgument(frozenset({"a"}), "c")}), "stable")
+        assert is_ignored(t, against) and not is_ignored(t, along)
+
+
+class TestLongOrders:
+    # Bounds are twice the one-second target: shared hosts run this code
+    # up to about twice as slowly for stretches.
+    def test_ten_thousand_link_chain(self, tmp_path):
+        path = tmp_path / "chain.rt"
+        ids = [f"p{i}" for i in range(10_000)] + ["q"]
+        lines = [f"premise p{i}: x{i}" for i in range(10_000)] + ["premise q: !x0"]
+        lines += [f"order {less} < {more}" for more, less in zip(ids, ids[1:])]
+        path.write_text("\n".join(lines) + "\n")
+        for argv, code in [
+            (("check",), 0),
+            (("extensions",), 0),
+            (("entails", "x1"), 0),
+            (("entails", "!x0"), 1),
+            (("argue", "x1"), 3),
+            (("af",), 3),
+        ]:
+            start = time.perf_counter()
+            got, text = invoke(argv[0], str(path), *argv[1:])
+            assert time.perf_counter() - start < 2.0, argv
+            assert got == code and (code != 3 or "MUS search" in text), (argv, text)
+
+    @pytest.mark.parametrize("clause", [1, 2])
+    def test_two_thousand_premise_total_order(self, tmp_path, clause):
+        # random clauses of one or two literals over four atoms; with two
+        # literals the atoms tie all premises into one block
+        rng = random.Random(2000)
+        path = tmp_path / "block.rt"
+        texts = [
+            " | ".join(rng.choice(("", "!")) + rng.choice("abcd") for _ in range(clause))
+            for _ in range(2000)
+        ]
+        lines = [f"premise b{i}: {text}" for i, text in enumerate(texts)]
+        lines += [f"order b{i + 1} < b{i}" for i in range(1999)]
+        path.write_text("\n".join(lines) + "\n")
+        models, greedy = (1 << 16) - 1, []
+        for i, text in enumerate(texts):
+            mask = formulas.models_mask(formulas.parse_formula(text), ("a", "b", "c", "d"))
+            if models & mask:
+                models &= mask
+                greedy.append(f"b{i}")
+        start = time.perf_counter()
+        code, text = invoke("extensions", str(path))
+        assert time.perf_counter() - start < 4.0
+        assert (code, text) == (0, " ".join(sorted(greedy)) + "\n(count: 1)\n")
 
 
 class TestLifetimes:

@@ -98,6 +98,30 @@ def oracle_linear_extensions(theory: ReliabilityTheory) -> List[Tuple[str, ...]]
     return out
 
 
+def linear_extensions(theory: ReliabilityTheory) -> List[TotalOrder]:
+    """Every linear extension, lexicographically, as total orders."""
+    return [TotalOrder(perm) for perm in oracle_linear_extensions(theory)]
+
+
+def transitive_closure(pairs: Iterable[Tuple[str, str]]) -> FrozenSet[Tuple[str, str]]:
+    """Warshall closure of an arbitrary pair set."""
+    reach: Dict[str, Set[str]] = {}
+    nodes: Set[str] = set()
+    for x, y in pairs:
+        reach.setdefault(x, set()).add(y)
+        nodes.add(x)
+        nodes.add(y)
+    for via in nodes:
+        targets = reach.get(via)
+        if not targets:
+            continue
+        for x in nodes:
+            mine = reach.get(x)
+            if mine and via in mine:
+                mine |= targets
+    return frozenset((x, y) for x, ys in reach.items() for y in ys)
+
+
 def oracle_greedy(theory: ReliabilityTheory, ranking: Sequence[str]) -> FrozenSet[str]:
     by_id = theory.formulas_by_id()
     kept: List[str] = []
