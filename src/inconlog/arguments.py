@@ -10,7 +10,11 @@ the bare partial order every minimally reliable member is.
 
 MUSes and minimal supports come from one subset-lattice sweep,
 `minimal_subsets`, which holds !goal and any fixed premises as hard
-constraints.
+constraints.  A MUS, like a minimal support together with !goal, is
+connected through shared atoms, so the sweep runs on each
+atom-connected part on its own: its cost is exponential in the largest
+part rather than in the whole premise set, and the subset budget
+bounds that part.
 
 Given the undermining arguments for a total order, the believed set is
 the unique fixed point D = premises \\ out(D), where out(D) collects
@@ -29,7 +33,14 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tupl
 
 from . import formulas
 from .errors import SubsetBudgetExceeded
-from .formulas import ConsistencyIndex, Formula, DEFAULT_ATOM_CAP
+from .formulas import (
+    ConsistencyIndex,
+    Formula,
+    DEFAULT_ATOM_CAP,
+    atom_links,
+    connected_parts,
+    positions_of,
+)
 from .theory import ReliabilityTheory, TotalOrder, min_under, minimal_elements
 
 DEFAULT_SUBSET_BUDGET = 24
@@ -69,37 +80,62 @@ def minimal_subsets(
 
     With `goal` None, S plus `hard` must be unsatisfiable instead.
     `hard` is in every tested set, never in an answer, and outside the
-    budget.  Ascending-cardinality sweep over the subset lattice,
-    skipping supersets of anything already found; at level k everything
-    smaller has been seen, so a survivor that passes is minimal.
+    budget.
+
+    The searched ids, `hard` and !goal split into atom-connected parts.
+    Parts share no atoms, so S plus `hard` plus !goal is unsatisfiable
+    iff its share of some part is, and every minimal S lies inside one
+    part: the answer is {frozenset()} when some part fails without any
+    searched id, and otherwise the union of the parts' answers.  Each
+    part gets its own oracle, so a part within the atom cap uses
+    bitmasks whatever the whole.  A part whose searched ids all
+    together do not fail is skipped; the others get an
+    ascending-cardinality sweep over their subset lattice, skipping
+    supersets of anything already found, so a survivor that passes at
+    level k is minimal.  Every part holding searched ids is checked
+    against the budget before any search.
     """
-    ids = tuple(ids)
-    if len(ids) > budget:
+    ids, hard = tuple(ids), tuple(hard)
+    items = ids + hard
+    fs = [by_id[pid] for pid in items] + ([] if goal is None else [goal])
+    plan = []
+    for part in connected_parts((1 << len(fs)) - 1, atom_links(fs).__getitem__):
+        at = positions_of(part)
+        plan.append((
+            tuple(ids[i] for i in at if i < len(ids)),
+            tuple(items[i] for i in at if len(ids) <= i < len(items)),
+            at[-1] == len(items),
+        ))
+    sizes = [len(searched) for searched, _, _ in plan if searched]
+    if sizes and max(sizes) > budget:
         what = "MUS search" if goal is None else "support search"
-        raise SubsetBudgetExceeded(
-            f"{what} over {len(ids)} premises exceeds the budget of {budget}"
-        )
-    index = ConsistencyIndex(
-        {pid: by_id[pid] for pid in ids + hard},
-        extra=() if goal is None else (goal,),
-        max_atoms=max_atoms,
-    )
-
-    def passes(subset: Tuple[str, ...]) -> bool:
-        if goal is None:
-            return not index.consistent(hard + subset)
-        return index.entails(hard + subset, goal)
-
-    if not passes(ids):
-        return frozenset()
+        raise SubsetBudgetExceeded(what, budget, max(sizes), len(sizes))
     found: List[FrozenSet[str]] = []
-    for size in range(len(ids) + 1):
-        for combo in combinations(ids, size):
-            subset = frozenset(combo)
-            if any(small <= subset for small in found):
-                continue
-            if passes(combo):
-                found.append(subset)
+    for searched, fixed, with_goal in plan:
+        index = ConsistencyIndex(
+            {pid: by_id[pid] for pid in searched + fixed},
+            extra=(goal,) if with_goal else (),
+            max_atoms=max_atoms,
+        )
+
+        def passes(subset: Tuple[str, ...]) -> bool:
+            if with_goal:
+                return index.entails(fixed + subset, goal)
+            return not index.consistent(fixed + subset)
+
+        if not passes(searched):
+            continue
+        mine: List[FrozenSet[str]] = []
+        for size in range(len(searched) + 1):
+            for combo in combinations(searched, size):
+                subset = frozenset(combo)
+                if any(small <= subset for small in mine):
+                    continue
+                if passes(combo):
+                    if not combo:
+                        return frozenset((subset,))
+                    mine.append(subset)
+        found.extend(mine)
     return frozenset(found)
 
 
@@ -178,11 +214,14 @@ def belief_holds(
     goal: Formula,
     max_atoms: int = DEFAULT_ATOM_CAP,
 ) -> bool:
-    """True iff the believed premises classically entail the goal."""
-    by_id = theory.formulas_by_id()
-    return formulas.entails(
-        (by_id[pid] for pid in state.believed), goal, max_atoms=max_atoms
-    )
+    """True iff the believed premises classically entail the goal.
+
+    Decided part by part: `minimal_subsets` with the believed premises
+    held fixed and nothing searched answers {frozenset()} exactly when
+    they do.
+    """
+    by_id, believed = theory.formulas_by_id(), tuple(sorted(state.believed))
+    return bool(minimal_subsets(by_id, (), goal, believed, max_atoms=max_atoms))
 
 
 def minimal_entailing_subsets(
@@ -211,11 +250,11 @@ def supports(
     goal always has at least one minimal support (the empty set, when
     the goal is a tautology).
     """
-    if not belief_holds(theory, state, goal, max_atoms=max_atoms):
-        raise ValueError(f"goal {formulas.format_formula(goal)!r} is not believed")
     subsets = minimal_entailing_subsets(
         theory.formulas_by_id(), state.believed, goal, budget=budget, max_atoms=max_atoms
     )
+    if not subsets:
+        raise ValueError(f"goal {formulas.format_formula(goal)!r} is not believed")
     return frozenset(SupportingArgument(s, goal) for s in subsets)
 
 

@@ -46,7 +46,21 @@ class ExtensionCapExceeded(CapExceeded):
 
 
 class SubsetBudgetExceeded(CapExceeded):
-    """Too many premises for subset-lattice search (MUS, minimal supports)."""
+    """Too many premises for subset-lattice search (MUS, minimal supports).
+
+    The search runs on each atom-connected part of the searched premises
+    (with the fixed premises and the goal) on its own, so the budget
+    bounds the largest such part.  `layer` is "MUS search" or "support
+    search", `limit` the budget, `size` the premise count of the largest
+    part and `parts` the number of parts that hold searched premises.
+    """
+
+    def __init__(self, layer: str, limit: int, size: int, parts: int):
+        super().__init__(
+            f"{layer}: the largest atom-connected part has {size} premises, "
+            f"over the budget of {limit} (parts searched: {parts})"
+        )
+        self.layer, self.limit, self.size, self.parts = layer, limit, size, parts
 
 
 class SearchBudgetExceeded(CapExceeded):

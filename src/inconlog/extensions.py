@@ -47,27 +47,28 @@ components, that share an atom with the goal.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ExtensionCapExceeded
 from .formulas import (
     ConsistencyIndex,
     Formula,
     DEFAULT_ATOM_CAP,
+    atom_links,
     atoms_of,
     atoms_of_all,
+    connected_parts,
+    positions_of,
 )
 from .theory import (
     DEFAULT_EXTENSION_CAP,
     ReliabilityTheory,
     TotalOrder,
     ensure_valid,
-    positions_of,
 )
 
 
@@ -208,21 +209,6 @@ def _realisable_groups(
     return realised
 
 
-def _components(left: int, linked: Callable[[int], int]) -> List[int]:
-    """The connected parts of the positions in `left` as bitsets, lowest
-    position first; `linked(i)` is the bitset of positions tied to i."""
-    parts = []
-    while left:
-        part = grow = left & -left
-        while grow:
-            reach = functools.reduce(operator.or_, map(linked, positions_of(grow)))
-            grow = reach & left & ~part
-            part |= grow
-        left &= ~part
-        parts.append(part)
-    return parts
-
-
 def _search(
     theory: ReliabilityTheory,
     work: _Work,
@@ -234,14 +220,9 @@ def _search(
     bits, ids = theory.order_bits, theory.ids
     if index is None:
         index = ConsistencyIndex(theory.formulas_by_id(), max_atoms=max_atoms)
-    atoms = [atoms_of(p.formula) for p in theory.premises]
-    sharing: Dict[str, int] = {}
-    for i, mine in enumerate(atoms):
-        for atom in mine:
-            sharing[atom] = sharing.get(atom, 0) | 1 << i
-    near = [functools.reduce(operator.or_, map(sharing.get, mine), 0) for mine in atoms]
+    links = atom_links([p.formula for p in theory.premises])
     fixed, free = [], 0
-    for part in _components((1 << len(ids)) - 1, near.__getitem__):
+    for part in connected_parts((1 << len(ids)) - 1, links.__getitem__):
         members = frozenset(ids[i] for i in positions_of(part))
         if index.consistent(members):
             fixed.append(members)
@@ -255,7 +236,7 @@ def _search(
                 break
             top |= 1 << i
     loose = free & ~top
-    blocks = _components(free, lambda i: near[i] | (
+    blocks = connected_parts(free, lambda i: links[i] | (
         (bits.above[i] | bits.below[i]) & loose if loose >> i & 1 else 0))
     work.blocks = len(blocks)
     per_block = []

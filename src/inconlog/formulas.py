@@ -27,9 +27,12 @@ over; the two backends must agree wherever both run.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from .errors import AtomCapExceeded, FormulaSyntaxError
 
@@ -95,6 +98,45 @@ def evaluate(formula: Formula, interpretation: Interpretation) -> bool:
             formula.right, interpretation
         )
     raise TypeError(f"not a formula: {formula!r}")
+
+
+# ------------------------------------------------------ atom-connected parts
+
+
+def positions_of(mask: int) -> List[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    low = (mask & -mask).bit_length() - 1
+    digits = bin(mask >> low)[:1:-1] if mask else ""
+    return [low + i for i, digit in enumerate(digits) if digit == "1"]
+
+
+def atom_links(formulas: Sequence[Formula]) -> List[int]:
+    """Bit j of entry i is set iff formulas i and j share an atom."""
+    atoms = [atoms_of(f) for f in formulas]
+    sharing: Dict[str, int] = {}
+    for i, mine in enumerate(atoms):
+        for atom in mine:
+            sharing[atom] = sharing.get(atom, 0) | 1 << i
+    return [functools.reduce(operator.or_, map(sharing.get, mine), 0) for mine in atoms]
+
+
+def connected_parts(left: int, linked: Callable[[int], int]) -> List[int]:
+    """The connected parts of the positions in `left` as bitsets, lowest
+    position first; `linked(i)` is the bitset of positions tied to i,
+    for example an `atom_links` entry."""
+    parts = []
+    while left:
+        part = grow = left & -left
+        while grow:
+            if grow & (grow - 1):
+                reach = functools.reduce(operator.or_, map(linked, positions_of(grow)))
+            else:
+                reach = linked(grow.bit_length() - 1)
+            grow = reach & left & ~part
+            part |= grow
+        left ^= part
+        parts.append(part)
+    return parts
 
 
 # ---------------------------------------------------------------- parsing

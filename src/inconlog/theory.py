@@ -28,7 +28,7 @@ from typing import (
 
 from . import formulas
 from .errors import InvalidTheoryError
-from .formulas import Formula
+from .formulas import Formula, positions_of
 
 DEFAULT_EXTENSION_CAP = 100_000
 
@@ -53,13 +53,6 @@ class OrderBits(NamedTuple):
     above: Tuple[int, ...]
     below: Tuple[int, ...]
     stuck: FrozenSet[int]
-
-
-def positions_of(mask: int) -> List[int]:
-    """Positions of the set bits of `mask`, lowest first."""
-    low = (mask & -mask).bit_length() - 1
-    digits = bin(mask >> low)[:1:-1] if mask else ""
-    return [low + i for i, digit in enumerate(digits) if digit == "1"]
 
 
 def order_bits(names: Sequence[str], pairs: Iterable[Pair]) -> OrderBits:

@@ -1,4 +1,6 @@
+import functools
 import random
+import time
 
 import pytest
 
@@ -12,6 +14,7 @@ from inconlog.arguments import (
     believed_premises,
     format_argument,
     minimal_entailing_subsets,
+    minimal_subsets,
     minimal_unsat_subsets,
     out_set,
     premise_arguments,
@@ -21,14 +24,16 @@ from inconlog.arguments import (
     undermining_args_partial,
 )
 from inconlog.errors import SubsetBudgetExceeded
-from inconlog.formulas import parse_formula
+from inconlog.formulas import Atom, Implies, Not, conj, parse_formula
 from inconlog.theory import theory_of
 
+from conftest import invoke
 from util import (
     linear_extensions,
     oracle_fixed_points,
     oracle_minimal_entailing,
     oracle_muses,
+    random_formula,
     random_theory,
 )
 
@@ -234,3 +239,104 @@ class TestSaturate:
                 args, state = saturate(t, order)
                 assert args == undermining_args_linear(t, order)
                 assert state == believed_premises(t, args, order)
+
+
+def grouped_problem(rng):
+    """2-4 atom-disjoint groups of searched premises, and hard premises
+    that may link two groups or clash with each other."""
+    groups = rng.randint(2, 4)
+    by_id, ids, hard = {}, [], []
+    for g in range(groups):
+        for k in range(rng.randint(1, 3)):
+            ids.append(f"p{g}_{k}")
+            # literals make clashes within a group common
+            by_id[ids[-1]] = random_formula(rng, [f"g{g}a", f"g{g}b"], rng.choice([0, 2]))
+            if rng.random() < 0.3:
+                by_id[ids[-1]] = Not(by_id[ids[-1]])
+    for k in range(rng.randint(0, 2)):
+        pair = rng.sample(range(groups), 2)
+        hard.append(f"h{k}")
+        by_id[hard[-1]] = random_formula(rng, [f"g{g}{x}" for g in pair for x in "ab"], 2)
+    if rng.random() < 0.15:
+        by_id["hx"], by_id["hy"] = parse_formula("g0a & g1a"), parse_formula("!g0a")
+        hard += ["hx", "hy"]
+    return by_id, ids, tuple(hard)
+
+
+def subsets_by_scan(by_id, ids, goal, hard):
+    # S plus hard entails goal iff S entails (hard -> goal); with goal
+    # None, S plus hard is unsatisfiable iff S entails !hard.
+    if goal is None and not hard:
+        return oracle_muses(theory_of({pid: by_id[pid] for pid in ids}))
+    fixed = functools.reduce(conj, (by_id[pid] for pid in hard)) if hard else None
+    if goal is None:
+        return oracle_minimal_entailing(by_id, ids, Not(fixed))
+    return oracle_minimal_entailing(
+        by_id, ids, goal if fixed is None else Implies(fixed, goal)
+    )
+
+
+class TestPartSplit:
+    @pytest.mark.parametrize("max_atoms", [20, 0])
+    def test_matches_full_subset_scan_on_disjoint_groups(self, max_atoms):
+        rng = random.Random(211)
+        for _ in range(120):
+            by_id, ids, hard = grouped_problem(rng)
+            goals = [None, Atom("fresh"), parse_formula("g0a | !g0a")]
+            goals.append(random_formula(rng, ["g0a", "g0b", "g1a"], 2))
+            for goal in goals:
+                got = minimal_subsets(by_id, ids, goal=goal, hard=hard, max_atoms=max_atoms)
+                assert got == subsets_by_scan(by_id, ids, goal, hard), (by_id, hard, goal)
+
+    def test_budget_bounds_the_largest_part(self):
+        t = theory_of({**{f"a{i}": f"a{i}" for i in range(30)}, "c": "!a0 & !a1"})
+        assert minimal_unsat_subsets(t, budget=3) == sets([{"a0", "c"}, {"a1", "c"}])
+        with pytest.raises(SubsetBudgetExceeded) as refused:
+            minimal_unsat_subsets(t, budget=2)
+        err = refused.value
+        assert (err.layer, err.limit, err.size, err.parts) == ("MUS search", 2, 3, 29)
+        assert all(str(v) in str(err) for v in ("MUS search", 2, 3, 29))
+
+    def test_consistent_parts_count_against_the_budget(self):
+        t = theory_of({"p": "a", "q": "a -> b", "r": "b", "s": "c"})
+        with pytest.raises(SubsetBudgetExceeded):
+            minimal_unsat_subsets(t, budget=2)
+
+    def test_belief_holds_part_by_part(self):
+        t = theory_of({"p": "a", "q": "a -> b", "r": "!c", "s": "d"})
+        state = BeliefState(frozenset(t.ids), linear_extensions(t)[0])
+        assert belief_holds(t, state, parse_formula("b & !c"))
+        assert not belief_holds(t, state, parse_formula("b & e"))
+        assert belief_holds(t, state, parse_formula("e | !e"))
+        clash = theory_of({"p": "a", "q": "!a", "r": "b"})
+        state = BeliefState(frozenset(clash.ids), linear_extensions(clash)[0])
+        assert belief_holds(clash, state, parse_formula("e"))
+
+
+class TestSubsetGates:
+    # Bounds are twice the targets (0.1 s and 1 s): shared hosts run this
+    # code up to about twice as slowly for stretches.
+    def test_twenty_premise_baseline(self):
+        t = theory_of({**{f"p{i}": f"x{i}" for i in range(19)}, "c": "!x0 & !x1"})
+        start = time.perf_counter()
+        muses = minimal_unsat_subsets(t)
+        assert time.perf_counter() - start < 0.2
+        assert muses == sets([{"p0", "c"}, {"p1", "c"}])
+
+    def test_two_hundred_premises_of_small_clashes(self, tmp_path):
+        lines = [f"premise p{i}: a{i}\npremise n{i}: !a{i}" for i in range(100)]
+        lines += [f"order n{i} < p{i}" for i in range(100)]
+        text = "\n".join(lines) + "\n"
+        t = theory_of(
+            [(f"p{i}", f"a{i}") for i in range(100)] + [(f"n{i}", f"!a{i}") for i in range(100)]
+        )
+        start = time.perf_counter()
+        muses = minimal_unsat_subsets(t)
+        assert time.perf_counter() - start < 2.0
+        assert muses == sets([{f"p{i}", f"n{i}"} for i in range(100)])
+        path = tmp_path / "pairs.rt"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert invoke("argue", str(path), "a7") == (0, "{p7} => a7\n")
+        assert time.perf_counter() - start < 2.0
+        assert invoke("argue", str(path), "!a7") == (1, "not believed\n")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -229,19 +230,69 @@ class TestAtmsBudget:
         assert len(text.splitlines()) == len(WIDE_LABEL_G)
 
     def test_assumptions_over_the_budget_are_refused(self, tmp_path):
+        # one justification over all 25 assumptions joins them in one part
+        body = ", ".join(f"a{i}" for i in range(1, 26))
         text = "\n".join(
-            [f"assume a{i}." for i in range(1, 26)] + ["node n.", "just a1 -> n."]
+            [f"assume a{i}." for i in range(1, 26)] + ["node n.", f"just {body} -> n."]
         )
         problem = parse_atms(text)
-        with pytest.raises(SubsetBudgetExceeded):
+        with pytest.raises(SubsetBudgetExceeded) as refused:
             atms_nogoods(problem)
-        with pytest.raises(SubsetBudgetExceeded):
+        assert (refused.value.layer, refused.value.limit) == ("MUS search", 24)
+        assert (refused.value.size, refused.value.parts) == (25, 1)
+        with pytest.raises(SubsetBudgetExceeded) as refused:
             atms_labels(problem, "n")
+        assert refused.value.layer == "support search"
+        assert "support search" in str(refused.value) and "25" in str(refused.value)
         path = tmp_path / "over.atms"
         path.write_text(text + "\n")
         code, out = invoke("atms", str(path), "--nogoods")
         assert code == 3
-        assert out.startswith("error:")
+        assert out.startswith("error: MUS search")
+
+    def test_independent_assumptions_are_searched_part_by_part(self, tmp_path):
+        # 25 assumptions, each an atom-connected part of its own
+        text = "\n".join(
+            [f"assume a{i}." for i in range(1, 26)] + ["node n.", "just a1 -> n."]
+        )
+        problem = parse_atms(text)
+        assert atms_nogoods(problem) == frozenset()
+        assert atms_labels(problem, "n") == sets([{"a1"}])
+        path = tmp_path / "wide.atms"
+        path.write_text(text + "\n")
+        assert invoke("atms", str(path), "--node", "n") == (0, "{a1}\n")
+
+
+class TestIndependentGroups:
+    @staticmethod
+    def group(g):
+        # 3 assumptions; n{g} from a pair or through m{g}, and in even
+        # groups a deny that makes {a{g}_0, a{g}_2} a nogood
+        a = [f"a{g}_{k}" for k in range(3)]
+        lines = [f"assume {name}." for name in a] + [f"node n{g}.", f"node m{g}."]
+        lines += [f"just {a[0]}, {a[1]} -> n{g}.", f"just {a[2]} -> m{g}.", f"just m{g} -> n{g}."]
+        if g % 2 == 0:
+            lines.append(f"deny {a[0]}, {a[2]} -> n{g}.")
+        return lines
+
+    def test_thirty_assumptions_in_ten_groups(self):
+        # 30 assumptions exceed the budget of 24 as a whole, but each
+        # group is an atom-connected part of 3; the bound is twice the
+        # one-second target
+        groups = [self.group(g) for g in range(10)]
+        whole = parse_atms("\n".join(line for lines in groups for line in lines))
+        start = time.perf_counter()
+        nogoods = atms_nogoods(whole)
+        labels = [atms_labels(whole, f"n{g}") for g in range(10)]
+        assert time.perf_counter() - start < 2.0
+        alone = [parse_atms("\n".join(lines)) for lines in groups]
+        assert nogoods == frozenset().union(*(atms_nogoods(p) for p in alone))
+        assert nogoods == sets([{f"a{g}_0", f"a{g}_2"} for g in range(0, 10, 2)])
+        # a nogood of another group entails every node
+        for g, label in enumerate(labels):
+            others = [atms_nogoods(p) for h, p in enumerate(alone) if h != g]
+            assert label == atms_labels(alone[g], f"n{g}").union(*others)
+        assert labels[1] == sets([{"a1_0", "a1_1"}, {"a1_2"}]) | nogoods
 
 
 class TestJustificationIds:

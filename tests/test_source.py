@@ -1,6 +1,8 @@
 """Guards on the library source: no process-wide caches, one module that
-picks the consistency backend, and one that reads the order pairs."""
+picks the consistency backend, one that reads the order pairs, one
+atom-part routine and one subset sweep."""
 
+import ast
 import pathlib
 import re
 
@@ -40,3 +42,25 @@ def test_one_reader_of_order_pairs():
     assert offending_lines(r"def (linear_extensions|transitive_closure)\b") == []
     readers = offending_lines(r"closure_of\(|\.closure\b", skip=("theory.py",))
     assert len(readers) == 1 and readers[0].startswith("semantics.py:")
+
+
+def test_one_atom_part_routine():
+    # formulas.atom_links and formulas.connected_parts split premises
+    # into atom-connected parts for the extension search and the subset
+    # sweep alike
+    pattern = r"def (_components|connected_parts|atom_links)\b|\bnear ="
+    assert offending_lines(pattern, skip=("formulas.py",)) == []
+
+
+def test_one_subset_sweep():
+    # only arguments.minimal_subsets walks a subset lattice
+    users = offending_lines(r"\bcombinations\b")
+    assert {line.split(":")[0] for line in users} == {"arguments.py"}
+    tree = ast.parse(next(p for p in SOURCES if p.name == "arguments.py").read_text())
+    callers = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "combinations" for n in ast.walk(node))
+    }
+    assert callers == {"minimal_subsets"}

@@ -255,13 +255,15 @@ class TestLongOrders:
             (("extensions",), 0),
             (("entails", "x1"), 0),
             (("entails", "!x0"), 1),
-            (("argue", "x1"), 3),
-            (("af",), 3),
+            (("argue", "x1"), 0),
+            (("af",), 0),
         ]:
             start = time.perf_counter()
             got, text = invoke(argv[0], str(path), *argv[1:])
             assert time.perf_counter() - start < 2.0, argv
-            assert got == code and (code != 3 or "MUS search" in text), (argv, text)
+            assert got == code, (argv, text)
+            if argv[0] == "argue":
+                assert text == "{p1} => x1\n"
 
     @pytest.mark.parametrize("clause", [1, 2])
     def test_two_thousand_premise_total_order(self, tmp_path, clause):
