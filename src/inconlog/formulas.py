@@ -20,8 +20,16 @@ one oracle that picks a backend and owns the model masks.  Up to the
 atom cap it represents the models of a formula as a bitmask over the
 2^n valuations of a fixed atom tuple (valuation k makes atom i true iff
 bit i of k is set), so a conjunction of premises is a bitwise AND.
-Above the cap a small DPLL procedure over a Tseitin translation takes
-over; the two backends must agree wherever both run.
+Above the cap the index owns one clause solver instead.  Each formula
+is Tseitin-translated once, iteratively, to a root variable whose
+clauses state a full equivalence with its subformula, so assuming the
+root true is the same as adding the formula: every consistency or
+entailment question is one DPLL search under the roots it names
+(Eén & Sörensson 2003), with two watched literals per clause (Moskewicz
+et al. 2001).  The search decides only the atoms under the assumed
+roots; every other variable is a function of its children, so a
+conflict-free setting of those atoms is a model.  The two backends
+must agree wherever both run.
 """
 
 from __future__ import annotations
@@ -72,13 +80,19 @@ def disj(left: Formula, right: Formula) -> Formula:
 
 
 def atoms_of(formula: Formula) -> FrozenSet[str]:
-    if isinstance(formula, Atom):
-        return frozenset((formula.name,))
-    if isinstance(formula, Not):
-        return atoms_of(formula.child)
-    if isinstance(formula, Implies):
-        return atoms_of(formula.left) | atoms_of(formula.right)
-    raise TypeError(f"not a formula: {formula!r}")
+    out: Set[str] = set()
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            out.add(f.name)
+        elif isinstance(f, Not):
+            stack.append(f.child)
+        elif isinstance(f, Implies):
+            stack += (f.left, f.right)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return frozenset(out)
 
 
 def atoms_of_all(formulas: Iterable[Formula]) -> FrozenSet[str]:
@@ -343,80 +357,191 @@ def interpretation_of_index(index: int, atoms: Sequence[str]) -> Interpretation:
     return frozenset(a for i, a in enumerate(atoms) if index >> i & 1)
 
 
-# ----------------------------------------------------------- DPLL backend
+# ---------------------------------------------------------- clause solver
 
 
-def _tseitin(formulas: Sequence[Formula]):
-    """Clause translation; one variable per distinct subformula."""
-    variables: Dict[Formula, int] = {}
-    clauses: List[Tuple[int, ...]] = []
+class _Solver:
+    """Tseitin clauses, built once, and a DPLL search under assumptions.
 
-    def var(f: Formula) -> int:
-        known = variables.get(f)
-        if known is not None:
-            return known
-        v = len(variables) + 1
-        variables[f] = v
-        if isinstance(f, Not):
-            c = var(f.child)
-            clauses.append((-v, -c))
-            clauses.append((v, c))
-        elif isinstance(f, Implies):
-            l, r = var(f.left), var(f.right)
-            clauses.append((-v, -l, r))
-            clauses.append((v, l))
-            clauses.append((v, -r))
-        return v
+    Every distinct subformula is one variable, hash-consed on its name
+    (atoms) or on its connective and its children's variables, so no
+    formula is ever hashed.  Each variable is defined by a full
+    equivalence: v <-> !c as two clauses, v <-> (l -> r) as three.
+    Assuming a root variable true is therefore the same as adding its
+    formula, and every question about a set of formulas is one `solve`
+    under their roots.
 
-    for f in formulas:
-        clauses.append((var(f),))
-    return clauses
+    The search keeps two watched literals per clause and one trail,
+    backtracks chronologically and learns nothing (Moskewicz et al.
+    2001).  Watch lists persist across calls; values are reset on exit.
+    Internally literal +v is 2v and -v is 2v + 1, so negation is `^ 1`.
+    """
 
+    def __init__(self):
+        self._nodes: Dict[object, int] = {}
+        self._atoms_under: Dict[int, Tuple[int, ...]] = {}
+        # per literal: 1 true, -1 false, 0 unassigned; variable 0 is unused
+        self._value: List[int] = [0, 0]
+        # per literal: the clauses watching it, visited when it turns false
+        self._watches: List[List[List[int]]] = [[], []]
+        self._trail: List[int] = []
 
-def _dpll(clauses: List[Tuple[int, ...]], assignment: Dict[int, bool]) -> bool:
-    # One scan per round: fail, propagate the first unit clause, or pick
-    # the first unassigned literal of the first unsatisfied clause.
-    while True:
-        unit = pick = None
-        for clause in clauses:
-            unassigned = []
-            satisfied = False
-            for lit in clause:
-                value = assignment.get(abs(lit))
-                if value is None:
-                    unassigned.append(lit)
-                elif value == (lit > 0):
-                    satisfied = True
-                    break
-            if satisfied:
+    def root(self, formula: Formula) -> int:
+        """The variable of `formula`, translated on first sight."""
+        done: Dict[int, int] = {}  # id of a subformula of `formula` -> its variable
+        atoms: Dict[int, None] = {}
+        stack = [formula]
+        while stack:
+            f = stack[-1]
+            if id(f) in done:
+                stack.pop()
                 continue
-            if not unassigned:
-                return False
-            if len(unassigned) == 1:
-                unit = unassigned[0]
-                break
-            if pick is None:
-                pick = abs(unassigned[0])
-        if unit is None:
-            break
-        assignment[abs(unit)] = unit > 0
+            if isinstance(f, Atom):
+                var = self._node(f.name)
+                atoms[var] = None
+            elif isinstance(f, Not):
+                child = done.get(id(f.child))
+                if child is None:
+                    stack.append(f.child)
+                    continue
+                var = self._node(("!", child))
+            elif isinstance(f, Implies):
+                left, right = done.get(id(f.left)), done.get(id(f.right))
+                if left is None:
+                    stack.append(f.left)
+                if right is None:
+                    stack.append(f.right)
+                if left is None or right is None:
+                    continue
+                var = self._node(("->", left, right))
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            stack.pop()
+            done[id(f)] = var
+        var = done[id(formula)]
+        self._atoms_under.setdefault(var, tuple(atoms))
+        return var
 
-    if pick is None:
+    def _node(self, key) -> int:
+        """The variable of an atom name or a ("!", child) / ("->", left,
+        right) node, with its defining clauses on first sight."""
+        var = self._nodes.get(key)
+        if var is None:
+            var = self._nodes[key] = len(self._value) // 2
+            self._value += (0, 0)
+            self._watches += ([], [])
+            pos, neg = 2 * var, 2 * var + 1
+            if isinstance(key, str):
+                return var
+            if key[0] == "!":
+                child = 2 * key[1]
+                self._clause([neg, child ^ 1])
+                self._clause([pos, child])
+            else:
+                left, right = 2 * key[1], 2 * key[2]
+                self._clause([neg, left ^ 1, right])
+                self._clause([pos, left])
+                self._clause([pos, right ^ 1])
+        return var
+
+    def _clause(self, lits: List[int]) -> None:
+        self._watches[lits[0]].append(lits)
+        self._watches[lits[1]].append(lits)
+
+    def _assign(self, lit: int) -> None:
+        self._value[lit], self._value[lit ^ 1] = 1, -1
+        self._trail.append(lit)
+
+    def _undo(self, length: int) -> None:
+        value, trail = self._value, self._trail
+        for lit in trail[length:]:
+            value[lit] = value[lit ^ 1] = 0
+        del trail[length:]
+
+    def _propagate(self, head: int) -> bool:
+        """Unit propagation from trail position `head`; False on a conflict."""
+        value, trail, watches = self._value, self._trail, self._watches
+        while head < len(trail):
+            false = trail[head] ^ 1
+            head += 1
+            watching, kept = watches[false], []
+            for k, clause in enumerate(watching):
+                # keep the falsified watch second
+                other = clause[0]
+                if other == false:
+                    other = clause[0] = clause[1]
+                    clause[1] = false
+                if value[other] > 0:
+                    kept.append(clause)
+                    continue
+                for i in range(2, len(clause)):
+                    lit = clause[i]
+                    if value[lit] >= 0:
+                        clause[1], clause[i] = lit, false
+                        watches[lit].append(clause)
+                        break
+                else:
+                    kept.append(clause)
+                    if value[other] < 0:
+                        kept += watching[k + 1:]
+                        watches[false] = kept
+                        return False
+                    value[other], value[other ^ 1] = 1, -1
+                    trail.append(other)
+            watches[false] = kept
         return True
-    for value in (True, False):
-        trail = dict(assignment)
-        trail[pick] = value
-        if _dpll(clauses, trail):
-            return True
-    return False
+
+    def solve(self, assumptions: Sequence[int]) -> bool:
+        """Is some model of the clauses true on every assumed root?
+
+        Assumptions are root variables, negated for false.  Decisions go
+        only to the atoms under them, false first.  That is enough:
+        once those atoms are set without a conflict, propagation has
+        given every node under the roots the value of its subformula,
+        and every other node is a function of atoms that nothing has
+        set, so the partial assignment extends to a model.
+        """
+        value, trail = self._value, self._trail
+        try:
+            for lit in assumptions:
+                code = 2 * lit if lit > 0 else 1 - 2 * lit
+                if value[code] < 0:
+                    return False
+                if not value[code]:
+                    self._assign(code)
+            if not self._propagate(0):
+                return False
+            free = list(dict.fromkeys(
+                atom for lit in assumptions for atom in self._atoms_under[abs(lit)]
+            ))
+            # (trail length before, decision literal, position in `free`);
+            # a positive decision is the second value tried
+            levels: List[Tuple[int, int, int]] = []
+            at = 0
+            while True:
+                while at < len(free) and value[2 * free[at]]:
+                    at += 1
+                if at == len(free):
+                    return True
+                levels.append((len(trail), 2 * free[at] + 1, at))
+                self._assign(2 * free[at] + 1)
+                while not self._propagate(levels[-1][0]):
+                    while levels and not levels[-1][1] & 1:
+                        levels.pop()
+                    if not levels:
+                        return False
+                    start, decision, at = levels.pop()
+                    self._undo(start)
+                    levels.append((start, decision ^ 1, at))
+                    self._assign(decision ^ 1)
+        finally:
+            self._undo(0)
 
 
 def dpll_satisfiable(formulas: Iterable[Formula]) -> bool:
-    """Satisfiability via Tseitin translation and DPLL; no atom cap."""
-    fs = tuple(formulas)
-    if not fs:
-        return True
-    return _dpll(_tseitin(fs), {})
+    """Satisfiability by a one-off `_Solver`; no atom cap."""
+    solver = _Solver()
+    return solver.solve([solver.root(f) for f in formulas])
 
 
 # ------------------------------------------------------- public decisions
@@ -447,9 +572,12 @@ class ConsistencyIndex:
 
     It owns both backends.  Up to `max_atoms` atoms (formulas plus the
     `extra` query formulas) it computes each formula's model mask once,
-    here, and answers by bitwise ANDs; above the cap `atoms` is None and
-    every call runs DPLL.  A greedy walk grows a state from `top` by
-    `meet`: a kept set's mask, or its formulas above the cap.
+    here, and answers by bitwise ANDs.  Above the cap `atoms` is None
+    and the index owns one `_Solver`: every formula is translated once,
+    here, to a root variable, and each question solves under the roots
+    it names (with the goal's root negated for `entails`).  A greedy
+    walk grows a state from `top` by `meet`: a kept set's mask, or the
+    tuple of its roots above the cap.
     """
 
     def __init__(
@@ -464,20 +592,25 @@ class ConsistencyIndex:
         self.atoms: Optional[Tuple[str, ...]] = atoms if len(atoms) <= max_atoms else None
         if self.atoms is None:
             self.full_mask, self.top, self.masks, self._extra_masks = 0, (), {}, {}
+            self._solver = _Solver()
+            self._roots = {pid: self._solver.root(f) for pid, f in self.formulas.items()}
+            for f in extra:
+                self._solver.root(f)
             return
         self.full_mask = self.top = (1 << (1 << len(atoms))) - 1
         self.masks = {pid: models_mask(f, atoms) for pid, f in self.formulas.items()}
         self._extra_masks = {f: models_mask(f, atoms) for f in extra}
 
     def same_models_key(self, pid: str) -> object:
-        """Equal for premises with the same models (above the cap: formulas)."""
-        return self.formulas[pid] if self.atoms is None else self.masks[pid]
+        """Equal for premises with the same models (above the cap: equal
+        formulas, which share a root variable)."""
+        return self._roots[pid] if self.atoms is None else self.masks[pid]
 
     def meet(self, state, pid: str):
         """The state narrowed by premise `pid`, or None if they clash."""
         if self.atoms is None:
-            grown = state + (self.formulas[pid],)
-            return grown if dpll_satisfiable(grown) else None
+            grown = state + (self._roots[pid],)
+            return grown if self._solver.solve(grown) else None
         return state & self.masks[pid] or None
 
     def subset_mask(self, ids: Iterable[str]) -> int:
@@ -490,12 +623,12 @@ class ConsistencyIndex:
 
     def consistent(self, ids: Iterable[str]) -> bool:
         if self.atoms is None:
-            return dpll_satisfiable(self.formulas[pid] for pid in ids)
+            return self._solver.solve([self._roots[pid] for pid in ids])
         return self.subset_mask(ids) != 0
 
     def entails(self, ids: Iterable[str], goal: Formula) -> bool:
         """Do the premises `ids` entail `goal`, one of the `extra` formulas?"""
         if self.atoms is None:
-            fs = tuple(self.formulas[pid] for pid in ids) + (Not(goal),)
-            return not dpll_satisfiable(fs)
+            roots = [self._roots[pid] for pid in ids]
+            return not self._solver.solve(roots + [-self._solver.root(goal)])
         return self.subset_mask(ids) & ~self._extra_masks[goal] == 0

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -277,6 +278,40 @@ class TestFailureModes:
     def test_help_exits_cleanly(self):
         code, _ = invoke("--help")
         assert code == 0
+
+
+class TestAboveTheAtomCap:
+    # Bounds are twice the targets: shared hosts run this code up to
+    # about twice as slowly for stretches.
+    def test_chain_of_120_links(self, tmp_path):
+        # x0, x0 -> x1, ..., x118 -> x119, then !x119 at the bottom
+        path = tmp_path / "chain.rt"
+        ids = [f"p{i}" for i in range(121)]
+        lines = ["premise p0: x0"]
+        lines += [f"premise p{i}: x{i - 1} -> x{i}" for i in range(1, 120)]
+        lines += ["premise p120: !x119"]
+        lines += [f"order {less} < {more}" for more, less in zip(ids, ids[1:])]
+        path.write_text("\n".join(lines) + "\n")
+        for argv, expected in [
+            (("extensions",), (0, " ".join(sorted(ids[:120])) + "\n(count: 1)\n")),
+            (("entails", "x77"), (0, "yes\n")),
+            (("entails", "!x5"), (1, "no\n")),
+        ]:
+            start = time.perf_counter()
+            got = invoke(argv[0], str(path), *argv[1:])
+            assert time.perf_counter() - start < 0.1, argv
+            assert got == expected, argv
+
+    def test_thousand_atom_conjunction(self, tmp_path):
+        path = tmp_path / "wide.rt"
+        wide = " & ".join(f"a{i}" for i in range(1000))
+        path.write_text(
+            f"premise w: {wide}\npremise s: !a7\npremise u: a3 -> z\norder s < w\n"
+        )
+        assert invoke("check", str(path)) == (0, "valid\n")
+        assert invoke("extensions", str(path)) == (0, "u w\n(count: 1)\n")
+        assert invoke("entails", str(path), "z") == (0, "yes\n")
+        assert invoke("entails", str(path), "!a7") == (1, "no\n")
 
 
 class TestEnvironmentCaps:

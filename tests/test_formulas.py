@@ -1,4 +1,6 @@
+import functools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +180,64 @@ class TestByProperty:
         ids = list(by_id)
         assert index.consistent(ids) == is_consistent(fs)
         assert index.entails(ids, goal) == entails(fs, goal)
+
+
+class TestSolverState:
+    """Above the atom cap one solver answers every question an index is
+    asked, so nothing one call leaves behind may change the next answer."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_interleaved_calls_match_the_bitmask_backend(self, rng):
+        # formulas over three atoms share many nodes; "n" negates p0, so
+        # the sets holding both are unsatisfiable
+        fs = [random_formula(rng, "abc", 3) for _ in range(rng.randint(1, 8))]
+        goals = [random_formula(rng, "abc", 3) for _ in range(2)]
+        by_id = {f"p{i}": f for i, f in enumerate(fs)}
+        by_id["n"] = Not(fs[0])
+        ids = list(by_id)
+        solver = ConsistencyIndex(by_id, extra=goals, max_atoms=0)
+        masks = ConsistencyIndex(by_id, extra=goals)
+        assert solver.atoms is None and masks.atoms is not None
+        for _ in range(100):
+            kind = rng.choice(("consistent", "entails", "meet"))
+            chosen = rng.choices(ids, k=rng.randrange(7))
+            goal = rng.choice(goals)
+            if kind == "consistent":
+                assert solver.consistent(chosen) == masks.consistent(chosen)
+            elif kind == "entails":
+                assert solver.entails(chosen, goal) == masks.entails(chosen, goal)
+            else:
+                left, right = solver.top, masks.top
+                for pid in chosen:
+                    grown, narrowed = solver.meet(left, pid), masks.meet(right, pid)
+                    assert (grown is None) == (narrowed is None)
+                    if grown is not None:
+                        left, right = grown, narrowed
+
+    def test_equal_formulas_share_a_models_key(self):
+        # two parses of one text are equal but distinct objects
+        by_id = {"p": parse_formula("a & b"), "q": parse_formula("a & b")}
+        index = ConsistencyIndex(by_id, max_atoms=0)
+        assert index.same_models_key("p") == index.same_models_key("q")
+
+
+class TestDeepFormulas:
+    # Bounds are twice the targets: shared hosts run this code up to
+    # about twice as slowly for stretches.
+    def test_thousand_atom_conjunction(self):
+        wide = functools.reduce(conj, [Atom(f"a{i}") for i in range(1000)])
+        assert is_consistent([wide])
+        assert not is_consistent([wide, Not(Atom("a7"))])
+        assert entails([wide], Atom("a999"))
+        assert dpll_satisfiable([wide, Atom("z")])
+
+    def test_thousand_implication_chain(self):
+        links = [Implies(Atom(f"x{i}"), Atom(f"x{i + 1}")) for i in range(1000)]
+        for fs, expected in (([Atom("x0")] + links, True), (links, False)):
+            start = time.perf_counter()
+            assert entails(fs, Atom("x1000")) is expected
+            assert time.perf_counter() - start < 0.2
 
 
 def test_desugared_semantics_match_native_connectives():

@@ -1,6 +1,6 @@
 """Guards on the library source: no process-wide caches, one module that
-picks the consistency backend, one that reads the order pairs, one
-atom-part routine and one subset sweep."""
+picks the consistency backend and owns its clause solver, one that
+reads the order pairs, one atom-part routine and one subset sweep."""
 
 import ast
 import pathlib
@@ -35,6 +35,15 @@ def test_only_formulas_picks_the_backend():
     # ConsistencyIndex decides between bitmask and DPLL
     pattern = r"\.atoms is (not )?None|dpll_satisfiable\("
     assert offending_lines(pattern, skip=("formulas.py",)) == []
+
+
+def test_one_clause_solver():
+    # formulas._Solver is built and driven only by formulas.py, one per
+    # ConsistencyIndex above the atom cap; no second DPLL route is kept
+    assert offending_lines(r"\b_Solver\b", skip=("formulas.py",)) == []
+    defined = offending_lines(r"^class _Solver\b")
+    assert len(defined) == 1 and defined[0].startswith("formulas.py:")
+    assert offending_lines(r"def (_tseitin|_dpll)\b") == []
 
 
 def test_one_reader_of_order_pairs():
