@@ -295,12 +295,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args returns a fresh Namespace on every
+# call and the caps are read per call, so no query state lives here.
+_PARSER = _build_parser()
+
+
 def run(argv: Sequence[str], out: Optional[IO[str]] = None) -> int:
     """Run one command; returns the exit code instead of raising SystemExit."""
     stream = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = _PARSER.parse_args(list(argv))
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:

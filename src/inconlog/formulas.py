@@ -255,6 +255,15 @@ def parse_formula(text: str) -> Formula:
 
 # Precedence levels used by the printer; higher binds tighter.
 _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3, 4
+# Connective: (its text, its precedence, then the raise of the minimum
+# precedence for the left and the right operand; an operand whose
+# precedence is below its minimum is bracketed).
+_CONNECTIVES = {
+    "!": ("!", _PREC_NOT, 0, 0),
+    "&": (" & ", _PREC_AND, 0, 1),
+    "|": (" | ", _PREC_OR, 0, 1),
+    "->": (" -> ", _PREC_IMPLIES, 1, 0),
+}
 
 
 def _classify(formula: Formula, sugar: bool):
@@ -279,27 +288,30 @@ def format_formula(formula: Formula, sugar: bool = True) -> str:
     tree.
     """
 
-    def go(f: Formula, minimum: int) -> str:
+    # An explicit stack of pending text and (subformula, minimum
+    # precedence) pairs, so output depth is not bounded by recursion.
+    pieces: List[str] = []
+    stack: List[Union[str, Tuple[Formula, int]]] = [(formula, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        f, minimum = item
         node = _classify(f, sugar)
         if node[0] == "atom":
-            return node[1]
-        if node[0] == "!":
-            text = "!" + go(node[1], _PREC_NOT)
-            prec = _PREC_NOT
-        elif node[0] == "&":
-            text = go(node[1], _PREC_AND) + " & " + go(node[2], _PREC_AND + 1)
-            prec = _PREC_AND
-        elif node[0] == "|":
-            text = go(node[1], _PREC_OR) + " | " + go(node[2], _PREC_OR + 1)
-            prec = _PREC_OR
-        else:
-            text = go(node[1], _PREC_IMPLIES + 1) + " -> " + go(node[2], _PREC_IMPLIES)
-            prec = _PREC_IMPLIES
+            pieces.append(node[1])
+            continue
+        text, prec, left_up, right_up = _CONNECTIVES[node[0]]
         if prec < minimum:
-            return "(" + text + ")"
-        return text
-
-    return go(formula, 0)
+            pieces.append("(")
+            stack.append(")")
+        if node[0] == "!":
+            pieces.append(text)
+            stack.append((node[1], prec))
+        else:
+            stack += ((node[2], prec + right_up), text, (node[1], prec + left_up))
+    return "".join(pieces)
 
 
 # ----------------------------------------------------- exhaustive valuation

@@ -119,6 +119,10 @@ class ReliabilityTheory:
         names.update(dict.fromkeys(name for pair in self.order for name in pair))
         return order_bits(tuple(names), self.order)
 
+    @functools.cached_property
+    def structural_issues(self) -> Tuple[ValidationIssue, ...]:  # computed once per theory
+        return _structural_issues(self)
+
 
 def theory_of(
     premises: Mapping[str, "Formula | str"] | Iterable[Tuple[str, "Formula | str"]],
@@ -194,11 +198,15 @@ def _structural_issues(theory: ReliabilityTheory) -> Tuple[ValidationIssue, ...]
         if p.id in seen:
             issues.append(ValidationIssue("duplicate-id", (p.id,)))
         seen.add(p.id)
-    declared = set(theory.ids)
-    for x, y in sorted(theory.order):
-        for name in (x, y):
-            if name not in declared:
-                issues.append(ValidationIssue("dangling-id", (name,)))
+    # order_bits names every id the pairs mention: the pairs are scanned,
+    # and only the offending ones sorted, when some id is undeclared
+    undeclared = set(theory.order_bits.names) - seen
+    if undeclared:
+        dangling = (pair for pair in theory.order if not undeclared.isdisjoint(pair))
+        for x, y in sorted(dangling):
+            for name in (x, y):
+                if name in undeclared:
+                    issues.append(ValidationIssue("dangling-id", (name,)))
     cycle = _find_cycle(theory)
     if cycle is not None:
         issues.append(ValidationIssue("cycle", cycle))  # one witness is enough
@@ -219,11 +227,11 @@ def validate(theory: ReliabilityTheory) -> ValidationReport:
         for p in theory.premises
         if not formulas.is_consistent((p.formula,))
     )
-    return ValidationReport(_structural_issues(theory), warnings)
+    return ValidationReport(theory.structural_issues, warnings)
 
 
 def ensure_valid(theory: ReliabilityTheory) -> None:
-    issues = _structural_issues(theory)
+    issues = theory.structural_issues
     if issues:
         raise InvalidTheoryError(issues[0].describe())
 

@@ -7,9 +7,11 @@ import time
 import pytest
 
 import inconlog
+from inconlog import cli
 from inconlog.files import load_theory, render_theory
 
 from conftest import fixture_path, invoke
+from util import same_formula
 
 
 class TestCheck:
@@ -312,6 +314,11 @@ class TestAboveTheAtomCap:
         assert invoke("extensions", str(path)) == (0, "u w\n(count: 1)\n")
         assert invoke("entails", str(path), "z") == (0, "yes\n")
         assert invoke("entails", str(path), "!a7") == (1, "no\n")
+        target = tmp_path / "revised.rt"
+        assert invoke("revise", str(path), "q", "-o", str(target)) == (0, "")
+        revised = load_theory(target)
+        assert revised.ids == ("w", "s", "u", "__revision_0")
+        assert same_formula(revised.formula_of("w"), load_theory(path).formula_of("w"))
 
 
 class TestEnvironmentCaps:
@@ -332,6 +339,67 @@ class TestEnvironmentCaps:
         code, text = invoke("argue", fixture_path("example1.rt"), "psi")
         assert code == 2
         assert "INCONLOG_MUS_BUDGET" in text
+
+
+class TestParserReuse:
+    """One argparse parser serves every cli.run call in a process."""
+
+    def test_interleaved_calls_match_lone_runs(self, monkeypatch, capsys):
+        # stdout is compared with that of a fresh process per call, so
+        # help is wrapped at a width fixed by COLUMNS in both
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("INCONLOG_MAX_EXTENSIONS", raising=False)
+        ex3 = fixture_path("example3.rt")
+        steps = [
+            (["frobnicate"], None, 2),
+            (["entails", ex3, "a", "--credulous"], None, 0),
+            (["entails", ex3], None, 2),  # the formula is missing
+            (["entails", ex3, "a"], None, 1),  # still skeptical
+            (["--help"], None, 0),
+            (["extensions", ex3, "--max-extensions", "1"], None, 3),
+            (["extensions", ex3], None, 0),
+            (["extensions", ex3], "2", 3),
+            (["extensions", ex3], None, 0),
+            (["entails", ex3, "a"], None, 1),
+        ]
+        src = os.path.dirname(os.path.dirname(inconlog.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for argv, cap, code in steps:
+            if cap is None:
+                monkeypatch.delenv("INCONLOG_MAX_EXTENSIONS", raising=False)
+            else:
+                monkeypatch.setenv("INCONLOG_MAX_EXTENSIONS", cap)
+            got = cli.run(argv)
+            captured = capsys.readouterr()
+            alone = subprocess.run(
+                [sys.executable, "-m", "inconlog", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            assert got == alone.returncode == code, argv
+            assert captured.out == alone.stdout, argv
+            assert captured.err == alone.stderr, argv
+
+    def test_parser_is_built_at_most_once(self, monkeypatch):
+        built = []
+
+        def counting():
+            built.append(1)
+            return original()
+
+        original = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        argvs = [
+            ["extensions", fixture_path("example1.rt")],
+            ["entails", fixture_path("example3.rt"), "a", "--credulous"],
+            ["models", fixture_path("example3.rt")],
+            ["af", fixture_path("example3.rt"), "--rule4"],
+            ["atms", fixture_path("chain.atms"), "--nogoods"],
+        ]
+        for i in range(50):
+            assert invoke(*argvs[i % len(argvs)])[0] == 0
+        assert len(built) <= 1
 
 
 class TestDeterminism:

@@ -24,7 +24,7 @@ from inconlog.formulas import (
     parse_formula,
 )
 
-from util import random_formula
+from util import random_formula, same_formula
 
 
 class TestParsing:
@@ -231,6 +231,14 @@ class TestDeepFormulas:
         assert not is_consistent([wide, Not(Atom("a7"))])
         assert entails([wide], Atom("a999"))
         assert dpll_satisfiable([wide, Atom("z")])
+
+    def test_wide_conjunction_prints_and_reparses(self):
+        # 3334 distinct atoms: about 10k nodes, nested far deeper than
+        # the recursion limit
+        wide = functools.reduce(conj, [Atom(f"a{i}") for i in range(3334)])
+        text = format_formula(wide)
+        assert text == " & ".join(f"a{i}" for i in range(3334))
+        assert same_formula(parse_formula(text), wide)
 
     def test_thousand_implication_chain(self):
         links = [Implies(Atom(f"x{i}"), Atom(f"x{i + 1}")) for i in range(1000)]

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from inconlog import formulas
+from inconlog import formulas, theory
 from inconlog.extensions import all_extensions, skeptical_entails
 from inconlog.errors import InvalidTheoryError
 from inconlog.semantics import preferred_models
@@ -97,6 +97,22 @@ class TestValidation:
         t = theory_of([("p", "x"), ("p", "y")], [("p", "q")])
         kinds = {issue.kind for issue in validate(t).issues}
         assert kinds == {"duplicate-id", "dangling-id"}
+
+    def test_structure_is_checked_once_per_theory(self, monkeypatch):
+        # every library entry point validates; the result is held on the
+        # theory, so the scan runs once however many entry points it meets
+        scans = []
+        scan = theory._structural_issues
+        monkeypatch.setattr(
+            theory, "_structural_issues", lambda t: scans.append(t) or scan(t)
+        )
+        t = theory_of({"a": "x", "b": "!x", "c": "y"}, [("a", "b")])
+        ensure_valid(t)
+        assert validate(t).ok
+        first_linear_extension(t)
+        assert len(all_extensions(t)) == 1
+        assert preferred_models(t) == {frozenset({"y"})}
+        assert scans == [t]
 
     def test_unsatisfiable_premise_is_a_warning_not_an_error(self):
         t = theory_of({"bad": "a & !a", "good": "a"})

@@ -38,6 +38,23 @@ def random_formula(rng: random.Random, atoms: Sequence[str], depth: int) -> Form
     return formulas.disj(left, right)
 
 
+def same_formula(f: Formula, g: Formula) -> bool:
+    """Tree equality by an explicit stack, for formulas too deep for ==."""
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Atom):
+            if a.name != b.name:
+                return False
+        elif isinstance(a, Not):
+            stack.append((a.child, b.child))
+        else:
+            stack += ((a.left, b.left), (a.right, b.right))
+    return True
+
+
 def random_order_pairs(
     rng: random.Random, ids: Sequence[str], prob: float
 ) -> Set[Tuple[str, str]]:
