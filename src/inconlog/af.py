@@ -141,40 +141,34 @@ def stable_extensions(
 
     results: List[ArgExtension] = []
     label: Dict[UnderminingArgument, bool] = {}
-
-    def close(chosen: Set[AfArgument]) -> None:
-        members = set(chosen)
-        members.update(p for p in passive if not (hit_by[p] & chosen))
-        results.append(ArgExtension(frozenset(members), "stable"))
-
-    def descend(i: int) -> None:
+    # choices[i]: the labels of unders[i] still to try, for the labels
+    # of unders[:i] now set; the search is depth-first, "in" first
+    choices: List[List[bool]] = []
+    while True:
+        i = len(choices)
         if i == len(unders):
             chosen = {u for u in unders if label[u]}
-            for u in unders:
-                if not label[u] and not (hit_by[u] & chosen):
-                    return  # an outsider nobody attacks: not stable
-            close(chosen)
-            return
-        arg = unders[i]
-        conflict = any(
-            label.get(other)
-            for other in (hit_by[arg] | hits[arg])
-            if isinstance(other, UnderminingArgument)
-        )
-        if not conflict:
-            label[arg] = True
-            descend(i + 1)
-        # taking it out only survives if something in can still attack it
-        undecided_or_in = any(
-            label.get(other, True) for other in hit_by[arg]
-        )
-        if undecided_or_in:
-            label[arg] = False
-            descend(i + 1)
-        label.pop(arg, None)
-
-    descend(0)
-    return frozenset(results)
+            # stable only if every outsider is attacked
+            if all(label[u] or hit_by[u] & chosen for u in unders):
+                members = set(chosen)
+                members.update(p for p in passive if not (hit_by[p] & chosen))
+                results.append(ArgExtension(frozenset(members), "stable"))
+        else:
+            arg = unders[i]
+            conflict = any(
+                label.get(other)
+                for other in (hit_by[arg] | hits[arg])
+                if isinstance(other, UnderminingArgument)
+            )
+            # taking it out only survives if something in can still attack it
+            undecided_or_in = any(label.get(other, True) for other in hit_by[arg])
+            choices.append([False] * undecided_or_in + [True] * (not conflict))
+        while choices and not choices[-1]:
+            choices.pop()
+            label.pop(unders[len(choices)], None)
+        if not choices:
+            return frozenset(results)
+        label[unders[len(choices) - 1]] = choices[-1].pop()
 
 
 def is_ignored(theory: ReliabilityTheory, ext: ArgExtension) -> bool:

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 for success (and "yes" answers), 1 for "no" answers,
-2 for parse or validation problems, 3 for exceeded caps or budgets
-and for input nested deeper than the recursion limit allows.
+2 for parse or validation problems, 3 for exceeded caps or budgets.
+Formulas are parsed and walked by loops, so nesting depth alone never
+fails; a RecursionError still exits 3, as a guard, not a traceback.
 Output is deterministic byte for byte: collections are sorted before
 printing and nothing depends on hash order.
 

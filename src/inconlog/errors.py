@@ -3,7 +3,8 @@
 Two families matter to callers: input problems (bad syntax, invalid
 theories) and resource guards (the deliberate caps on brute-force
 search).  The CLI maps the first family to exit code 2 and the second
-to exit code 3, as it does a RecursionError from input nested too deeply.
+to exit code 3.  A formula's nesting depth is neither: parsing and
+every walk over a formula are loops.
 """
 
 from __future__ import annotations

@@ -15,21 +15,22 @@ or "~" (tightest), then "&", then "|", then "->" (loosest,
 right-associative; "&" and "|" associate to the left).  Whitespace is
 insignificant.
 
+Nothing here recurses on a formula, so nesting depth is bounded by
+memory alone: the parser is one loop over the tokens with an operand
+and an operator stack, the printer, equality and hashing keep explicit
+stacks, and atoms, truth values, model masks and clause variables are
+all read off one post-order walk, `_postorder`.
+
 Satisfiability and entailment are decided by `ConsistencyIndex`, the
 one oracle that picks a backend and owns the model masks.  Up to the
 atom cap it represents the models of a formula as a bitmask over the
 2^n valuations of a fixed atom tuple (valuation k makes atom i true iff
 bit i of k is set), so a conjunction of premises is a bitwise AND.
-Above the cap the index owns one clause solver instead.  Each formula
-is Tseitin-translated once, iteratively, to a root variable whose
-clauses state a full equivalence with its subformula, so assuming the
-root true is the same as adding the formula: every consistency or
-entailment question is one DPLL search under the roots it names
-(Eén & Sörensson 2003), with two watched literals per clause (Moskewicz
-et al. 2001).  The search decides only the atoms under the assumed
-roots; every other variable is a function of its children, so a
-conflict-free setting of those atoms is a model.  The two backends
-must agree wherever both run.
+Above the cap the index owns one clause solver, `_Solver`, instead:
+each formula is Tseitin-translated once to a root variable, and every
+consistency or entailment question is one DPLL search under the roots
+it names (Eén & Sörensson 2003).  The two backends must agree wherever
+both run.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
+import zlib
 from dataclasses import dataclass
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
@@ -47,18 +49,57 @@ from .errors import AtomCapExceeded, FormulaSyntaxError
 DEFAULT_ATOM_CAP = 20
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Node:
+    """Structural equality and hashing for the three node types, by
+    explicit stacks, so both work at any depth.  The hash, and the atom
+    set that `atoms_of` reads, are computed on first use and kept on the
+    node: nothing outlives the formula."""
+
+    _hash: Optional[int] = None
+    _atoms: Optional[FrozenSet[str]] = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            kind = type(a)
+            if a is b:
+                continue
+            if kind is not type(b):
+                return False
+            if kind is Not:
+                pairs.append((a.child, b.child))
+            elif kind is Implies:
+                pairs += ((a.left, b.left), (a.right, b.right))
+            elif kind is not Atom or a.name != b.name:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            for f in _postorder(self):
+                kind = type(f)
+                # crc32: unlike str hashes it holds in any process
+                key = (zlib.crc32(f.name.encode()) if kind is Atom else (f.child._hash,)
+                       if kind is Not else (f.left._hash, f.right._hash))
+                object.__setattr__(f, "_hash", hash(key))
+        return self._hash
+
+
+@dataclass(frozen=True, eq=False)
+class Atom(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Node):
     child: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False)
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
@@ -79,20 +120,39 @@ def disj(left: Formula, right: Formula) -> Formula:
     return Implies(Not(left), right)
 
 
-def atoms_of(formula: Formula) -> FrozenSet[str]:
-    out: Set[str] = set()
-    stack = [formula]
+def _postorder(formula: Formula) -> List[Formula]:
+    """Each distinct node object of `formula` once, children before
+    their parent (right subtrees first), by an explicit stack."""
+    if type(formula) is Atom:  # the commonest walk: an atom premise or goal
+        return [formula]
+    done: Dict[int, Formula] = {}  # id -> node, in the order finished
+    stack: List[Optional[Formula]] = [formula]
     while stack:
         f = stack.pop()
-        if isinstance(f, Atom):
-            out.add(f.name)
-        elif isinstance(f, Not):
-            stack.append(f.child)
-        elif isinstance(f, Implies):
-            stack += (f.left, f.right)
+        if f is None:  # the node below has all its children done
+            f = stack.pop()
+            done[id(f)] = f
+            continue
+        kind = type(f)
+        if kind is Atom:  # a second visit keeps the first's place
+            done[id(f)] = f
+        elif id(f) in done:
+            continue
+        elif kind is Not:
+            stack += (f, None, f.child)
+        elif kind is Implies:
+            stack += (f, None, f.left, f.right)
         else:
             raise TypeError(f"not a formula: {f!r}")
-    return frozenset(out)
+    return list(done.values())
+
+
+def atoms_of(formula: Formula) -> FrozenSet[str]:
+    atoms = getattr(formula, "_atoms", None)
+    if atoms is None:
+        atoms = frozenset([f.name for f in _postorder(formula) if type(f) is Atom])
+        object.__setattr__(formula, "_atoms", atoms)
+    return atoms
 
 
 def atoms_of_all(formulas: Iterable[Formula]) -> FrozenSet[str]:
@@ -102,16 +162,25 @@ def atoms_of_all(formulas: Iterable[Formula]) -> FrozenSet[str]:
     return frozenset(out)
 
 
+def _models(formula: Formula, full: int, atom: Callable[[str], int]) -> int:
+    """The models of `formula` as a bitmask: `full` has a bit for every
+    valuation and `atom(name)` the bits of those that make the atom true."""
+    masks: Dict[int, int] = {}
+    for f in _postorder(formula):
+        kind = type(f)
+        if kind is Atom:
+            mask = atom(f.name)
+        elif kind is Not:
+            mask = full ^ masks[id(f.child)]
+        else:
+            mask = full ^ masks[id(f.left)] | masks[id(f.right)]
+        masks[id(f)] = mask
+    return mask
+
+
 def evaluate(formula: Formula, interpretation: Interpretation) -> bool:
-    if isinstance(formula, Atom):
-        return formula.name in interpretation
-    if isinstance(formula, Not):
-        return not evaluate(formula.child, interpretation)
-    if isinstance(formula, Implies):
-        return (not evaluate(formula.left, interpretation)) or evaluate(
-            formula.right, interpretation
-        )
-    raise TypeError(f"not a formula: {formula!r}")
+    """True iff `interpretation`, taken as the only valuation, is a model of `formula`."""
+    return _models(formula, 1, interpretation.__contains__) == 1
 
 
 # ------------------------------------------------------ atom-connected parts
@@ -153,117 +222,76 @@ def connected_parts(left: int, linked: Callable[[int], int]) -> List[int]:
     return parts
 
 
-# ---------------------------------------------------------------- parsing
+# ------------------------------------------------------- parsing, printing
 
-_TOKEN_RE = re.compile(r"(->)|([A-Za-z_][A-Za-z0-9_]*)|([!~&|()])|(\S)")
+# Connective: (its printed text, its precedence, higher binding tighter,
+# then the raise of the minimum precedence for the left and the right
+# operand).  The printer brackets an operand whose precedence is below
+# its minimum; the parser folds into a connective's left operand every
+# pending connective that meets that minimum.
+_CONNECTIVES = {
+    "!": ("!", 4, 0, 0),
+    "&": (" & ", 3, 0, 1),
+    "|": (" | ", 2, 0, 1),
+    "->": (" -> ", 1, 1, 0),
+}
+_BUILD = {"&": conj, "|": disj, "->": Implies}
 
-
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        pos = match.start()
-        if match.group(1):
-            tokens.append(("op", "->", pos))
-        elif match.group(2):
-            tokens.append(("atom", match.group(2), pos))
-        elif match.group(3):
-            tokens.append(("op", match.group(3), pos))
-        else:
-            raise FormulaSyntaxError(f"unexpected character {match.group(4)!r}", pos)
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent following the precedence chain ! > & > | > ->."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> Tuple[str, str, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect_op(self, op: str) -> None:
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise FormulaSyntaxError(f"expected {op!r}", pos)
-        self.take()
-
-    def parse(self) -> Formula:
-        formula = self.implication()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise FormulaSyntaxError(f"unexpected {value!r}", pos)
-        return formula
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "->":
-            self.take()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "|":
-                self.take()
-                out = disj(out, self.conjunction())
-            else:
-                return out
-
-    def conjunction(self) -> Formula:
-        out = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "&":
-                self.take()
-                out = conj(out, self.unary())
-            else:
-                return out
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "op" and value in ("!", "~"):
-            self.take()
-            return Not(self.unary())
-        if kind == "op" and value == "(":
-            self.take()
-            inner = self.implication()
-            self.expect_op(")")
-            return inner
-        if kind == "atom":
-            self.take()
-            return Atom(value)
-        raise FormulaSyntaxError("expected a formula", pos)
+_TOKEN_RE = re.compile(r"->|[A-Za-z_][A-Za-z0-9_]*|[!~&|()]")
+# Matches up to the first character that starts no token.
+_TOKENS_RE = re.compile(r"(?:\s+|->|[A-Za-z_][A-Za-z0-9_]*|[!~&|()])*")
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse concrete syntax into the two-connective core language."""
-    return _Parser(text).parse()
+    """Parse concrete syntax into the two-connective core language.
 
-
-# --------------------------------------------------------------- printing
-
-# Precedence levels used by the printer; higher binds tighter.
-_PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3, 4
-# Connective: (its text, its precedence, then the raise of the minimum
-# precedence for the left and the right operand; an operand whose
-# precedence is below its minimum is bracketed).
-_CONNECTIVES = {
-    "!": ("!", _PREC_NOT, 0, 0),
-    "&": (" & ", _PREC_AND, 0, 1),
-    "|": (" | ", _PREC_OR, 0, 1),
-    "->": (" -> ", _PREC_IMPLIES, 1, 0),
-}
+    One loop over the tokens (Dijkstra's shunting yard) that alternates
+    between wanting an operand (an atom, "!"/"~" or "(") and wanting what
+    follows one (a connective, ")" or the end); the first token that fits
+    neither raises.
+    """
+    bad = _TOKENS_RE.match(text).end()
+    if bad < len(text):
+        raise FormulaSyntaxError(f"unexpected character {text[bad]!r}", bad)
+    tokens = _TOKEN_RE.findall(text) + [""]  # "" is the end
+    operands: List[Formula] = []
+    pending: List[str] = []  # "(", negations and binary connectives, innermost last
+    brackets = 0
+    want_operand = True
+    for k, token in enumerate(tokens):
+        if want_operand:
+            if token in ("!", "~", "("):
+                pending.append(token)
+                brackets += token == "("
+                continue
+            if not token or token in _CONNECTIVES or token == ")":
+                message = "expected a formula"
+                break
+            operands.append(Atom(token))
+        else:
+            binary = token in _BUILD
+            if not (binary or token == ")" and brackets or not token and not brackets):
+                message = "expected ')'" if brackets else f"unexpected {token!r}"
+                break
+            # fold the pending connectives tight enough to sit below `token`
+            floor = _CONNECTIVES[token][1] + _CONNECTIVES[token][2] if binary else 1
+            while pending and pending[-1] in _BUILD and _CONNECTIVES[pending[-1]][1] >= floor:
+                right = operands.pop()
+                operands[-1] = _BUILD[pending.pop()](operands[-1], right)
+            if binary:
+                pending.append(token)
+            elif not token:
+                return operands[0]
+            else:
+                pending.pop()  # the matching "("
+                brackets -= 1
+        while pending and pending[-1] in ("!", "~"):  # negations waiting for an operand
+            pending.pop()
+            operands[-1] = Not(operands[-1])
+        want_operand = token in _BUILD
+    # token k fits nowhere: the end of the text if it is the last
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    raise FormulaSyntaxError(message, (starts + [len(text)])[k])
 
 
 def _classify(formula: Formula, sugar: bool):
@@ -350,19 +378,14 @@ def _atom_pattern(bit: int, width_bits: int) -> int:
     return pattern
 
 
+def _patterns(atoms: Tuple[str, ...]) -> Callable[[str], int]:
+    """Atom name -> the bits of the valuations over `atoms` making it true."""
+    return {a: _atom_pattern(i, len(atoms)) for i, a in enumerate(atoms)}.__getitem__
+
+
 def models_mask(formula: Formula, atoms: Tuple[str, ...]) -> int:
     """Bitmask of the valuations over `atoms` that satisfy the formula."""
-    n = len(atoms)
-    full = (1 << (1 << n)) - 1
-    if isinstance(formula, Atom):
-        return _atom_pattern(atoms.index(formula.name), n)
-    if isinstance(formula, Not):
-        return full ^ models_mask(formula.child, atoms)
-    if isinstance(formula, Implies):
-        return (full ^ models_mask(formula.left, atoms)) | models_mask(
-            formula.right, atoms
-        )
-    raise TypeError(f"not a formula: {formula!r}")
+    return _models(formula, (1 << (1 << len(atoms))) - 1, _patterns(atoms))
 
 
 def interpretation_of_index(index: int, atoms: Sequence[str]) -> Interpretation:
@@ -400,39 +423,20 @@ class _Solver:
 
     def root(self, formula: Formula) -> int:
         """The variable of `formula`, translated on first sight."""
-        done: Dict[int, int] = {}  # id of a subformula of `formula` -> its variable
+        var: Dict[int, int] = {}  # id of a subformula of `formula` -> its variable
         atoms: Dict[int, None] = {}
-        stack = [formula]
-        while stack:
-            f = stack[-1]
-            if id(f) in done:
-                stack.pop()
-                continue
-            if isinstance(f, Atom):
-                var = self._node(f.name)
-                atoms[var] = None
-            elif isinstance(f, Not):
-                child = done.get(id(f.child))
-                if child is None:
-                    stack.append(f.child)
-                    continue
-                var = self._node(("!", child))
-            elif isinstance(f, Implies):
-                left, right = done.get(id(f.left)), done.get(id(f.right))
-                if left is None:
-                    stack.append(f.left)
-                if right is None:
-                    stack.append(f.right)
-                if left is None or right is None:
-                    continue
-                var = self._node(("->", left, right))
+        for f in _postorder(formula):
+            kind = type(f)
+            if kind is Atom:
+                v = self._node(f.name)
+                atoms[v] = None
+            elif kind is Not:
+                v = self._node(("!", var[id(f.child)]))
             else:
-                raise TypeError(f"not a formula: {f!r}")
-            stack.pop()
-            done[id(f)] = var
-        var = done[id(formula)]
-        self._atoms_under.setdefault(var, tuple(atoms))
-        return var
+                v = self._node(("->", var[id(f.left)], var[id(f.right)]))
+            var[id(f)] = v
+        self._atoms_under.setdefault(v, tuple(atoms))
+        return v
 
     def _node(self, key) -> int:
         """The variable of an atom name or a ("!", child) / ("->", left,
@@ -550,12 +554,6 @@ class _Solver:
             self._undo(0)
 
 
-def dpll_satisfiable(formulas: Iterable[Formula]) -> bool:
-    """Satisfiability by a one-off `_Solver`; no atom cap."""
-    solver = _Solver()
-    return solver.solve([solver.root(f) for f in formulas])
-
-
 # ------------------------------------------------------- public decisions
 
 
@@ -609,9 +607,10 @@ class ConsistencyIndex:
             for f in extra:
                 self._solver.root(f)
             return
-        self.full_mask = self.top = (1 << (1 << len(atoms))) - 1
-        self.masks = {pid: models_mask(f, atoms) for pid, f in self.formulas.items()}
-        self._extra_masks = {f: models_mask(f, atoms) for f in extra}
+        full = self.full_mask = self.top = (1 << (1 << len(atoms))) - 1
+        pattern = _patterns(atoms)
+        self.masks = {pid: _models(f, full, pattern) for pid, f in self.formulas.items()}
+        self._extra_masks = {f: _models(f, full, pattern) for f in extra}
 
     def same_models_key(self, pid: str) -> object:
         """Equal for premises with the same models (above the cap: equal

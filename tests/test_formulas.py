@@ -15,7 +15,6 @@ from inconlog.formulas import (
     all_interpretations,
     conj,
     disj,
-    dpll_satisfiable,
     entails,
     evaluate,
     format_formula,
@@ -24,7 +23,7 @@ from inconlog.formulas import (
     parse_formula,
 )
 
-from util import random_formula, same_formula
+from util import _tokenize, random_formula, reference_parse
 
 
 class TestParsing:
@@ -170,7 +169,7 @@ class TestByProperty:
     @given(st.lists(_formula_strategy(), max_size=4))
     def test_dpll_agrees_with_exhaustive_valuation(self, fs):
         """The two satisfiability backends agree wherever both can run."""
-        assert dpll_satisfiable(fs) == is_consistent(fs)
+        assert is_consistent(fs, max_atoms=0) == is_consistent(fs)
 
     @settings(max_examples=40)
     @given(st.lists(_formula_strategy(), min_size=1, max_size=4), _formula_strategy())
@@ -230,7 +229,8 @@ class TestDeepFormulas:
         assert is_consistent([wide])
         assert not is_consistent([wide, Not(Atom("a7"))])
         assert entails([wide], Atom("a999"))
-        assert dpll_satisfiable([wide, Atom("z")])
+        fs = [wide, Atom("z")]
+        assert is_consistent(fs, max_atoms=0) and is_consistent(fs)
 
     def test_wide_conjunction_prints_and_reparses(self):
         # 3334 distinct atoms: about 10k nodes, nested far deeper than
@@ -238,7 +238,43 @@ class TestDeepFormulas:
         wide = functools.reduce(conj, [Atom(f"a{i}") for i in range(3334)])
         text = format_formula(wide)
         assert text == " & ".join(f"a{i}" for i in range(3334))
-        assert same_formula(parse_formula(text), wide)
+        assert parse_formula(text) == wide
+
+    def test_three_thousand_negations(self):
+        f = Atom("a")
+        for _ in range(3000):
+            f = Not(f)
+        assert parse_formula("!" * 3000 + "a") == f
+        assert format_formula(f) == "!" * 3000 + "a"
+        assert evaluate(f, frozenset({"a"})) and not evaluate(f, frozenset())
+        assert entails([Atom("a")], f) and entails([f], Atom("a"))
+
+    def test_three_thousand_link_implication_chain(self):
+        text = " -> ".join(f"x{i}" for i in range(3001))
+        f = Atom("x3000")
+        for i in reversed(range(3000)):
+            f = Implies(Atom(f"x{i}"), f)
+        assert parse_formula(text) == f
+        assert format_formula(f) == text
+        premises = [f] + [Atom(f"x{i}") for i in range(3000)]
+        assert entails(premises, Atom("x3000"))
+        assert not entails(premises[:-1], Atom("x3000"))
+
+    def test_three_thousand_nested_parentheses(self):
+        assert parse_formula("(" * 3000 + "a" + ")" * 3000) == Atom("a")
+        text = "(" * 3000 + "a & b" + ")" * 3000 + " -> c"
+        assert parse_formula(text) == parse_formula("a & b -> c")
+
+    def test_equality_and_hash_of_ten_thousand_node_trees(self):
+        def wide(first):
+            # 3334 conjuncts: about 10k nodes, `first` the deepest leaf
+            atoms = [Atom(first)] + [Atom(f"a{i}") for i in range(1, 3334)]
+            return functools.reduce(conj, atoms)
+
+        f, same, other = wide("a0"), wide("a0"), wide("b0")
+        assert f == same and hash(f) == hash(same)
+        assert f != other and hash(other) == hash(wide("b0"))
+        assert len({f, same, other}) == 2
 
     def test_thousand_implication_chain(self):
         links = [Implies(Atom(f"x{i}"), Atom(f"x{i + 1}")) for i in range(1000)]
@@ -246,6 +282,55 @@ class TestDeepFormulas:
             start = time.perf_counter()
             assert entails(fs, Atom("x1000")) is expected
             assert time.perf_counter() - start < 0.2
+
+
+def _outcome(parse, text):
+    # the tree, and its core-connective text so that a parse does not
+    # rest on == alone; or the error's type, message and position
+    try:
+        tree = parse(text)
+        return tree, format_formula(tree, sugar=False)
+    except FormulaSyntaxError as err:
+        return (type(err), str(err), err.position)
+
+
+class TestAgainstTheReferenceParser:
+    """The loop parser builds the trees, and raises the errors, of the
+    recursive-descent parser it replaced (kept in tests/util.py)."""
+
+    def test_seeded_sweep(self):
+        rng = random.Random(1101)
+        spaces = ("", " ", "  ", "\t")
+        for i in range(20000):
+            f = random_formula(rng, _atom_names, rng.randrange(6))
+            text = format_formula(f, sugar=rng.random() < 0.5)
+            tokens = [value for _, value, _ in _tokenize(text)[:-1]]
+            if i % 2:
+                # mostly malformed: one token deleted, duplicated or swapped
+                k = rng.randrange(len(tokens))
+                edit = rng.randrange(3)
+                if edit == 0:
+                    del tokens[k]
+                elif edit == 1:
+                    tokens.insert(k, tokens[k])
+                else:
+                    j = rng.randrange(len(tokens))
+                    tokens[j], tokens[k] = tokens[k], tokens[j]
+            else:
+                # valid: extra parentheses around some atoms and the whole
+                tokens = [f"({t})" if t.isidentifier() and rng.random() < 0.2 else t
+                          for t in tokens]
+                if rng.random() < 0.3:
+                    tokens = ["(", *tokens, ")"]
+            text = "".join(t + rng.choice(spaces) for t in tokens)
+            expected = _outcome(reference_parse, text)
+            assert _outcome(parse_formula, text) == expected, text
+            if i % 2 == 0:
+                assert expected[0] == f
+
+    def test_stray_characters(self):
+        for text in ("a ? b", "a - > b", "1a", "(a & b) >", "a -> b; c", "!(a)$"):
+            assert _outcome(parse_formula, text) == _outcome(reference_parse, text)
 
 
 def test_desugared_semantics_match_native_connectives():

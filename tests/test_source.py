@@ -1,6 +1,7 @@
 """Guards on the library source: no process-wide caches, one module that
 picks the consistency backend and owns its clause solver, one that
-reads the order pairs, one atom-part routine and one subset sweep."""
+reads the order pairs, one atom-part routine, one subset sweep, one
+formula parser and no recursion."""
 
 import ast
 import pathlib
@@ -73,3 +74,39 @@ def test_one_subset_sweep():
         and any(isinstance(n, ast.Name) and n.id == "combinations" for n in ast.walk(node))
     }
     assert callers == {"minimal_subsets"}
+
+
+def test_no_function_calls_itself():
+    # formulas of any depth, and searches of any length, run in loops: no
+    # function names itself (a bare name, or self.<name> in a method),
+    # whether to call itself or to hand itself to map and the like
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {
+            id(node)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if id(fn) in methods:
+                    names_itself = (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in ("self", "cls")
+                        and node.attr == fn.name
+                    )
+                else:
+                    names_itself = isinstance(node, ast.Name) and node.id == fn.name
+                if names_itself:
+                    found.append(f"{path.name}:{node.lineno}: {fn.name}")
+    assert found == []
+
+
+def test_one_formula_parser():
+    # formulas.parse_formula is one loop over the tokens; the recursive
+    # descent it replaced lives on only in tests/util.py
+    assert offending_lines(r"^class _Parser\b") == []

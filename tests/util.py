@@ -10,12 +10,14 @@ with them.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from inconlog import formulas
 from inconlog.af import ArgumentationFramework
 from inconlog.arguments import UnderminingArgument
+from inconlog.errors import FormulaSyntaxError
 from inconlog.formulas import Atom, Formula, Implies, Not
 from inconlog.theory import Premise, ReliabilityTheory, TotalOrder
 
@@ -36,23 +38,6 @@ def random_formula(rng: random.Random, atoms: Sequence[str], depth: int) -> Form
     if kind == 2:
         return formulas.conj(left, right)
     return formulas.disj(left, right)
-
-
-def same_formula(f: Formula, g: Formula) -> bool:
-    """Tree equality by an explicit stack, for formulas too deep for ==."""
-    stack = [(f, g)]
-    while stack:
-        a, b = stack.pop()
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Atom):
-            if a.name != b.name:
-                return False
-        elif isinstance(a, Not):
-            stack.append((a.child, b.child))
-        else:
-            stack += ((a.left, b.left), (a.right, b.right))
-    return True
 
 
 def random_order_pairs(
@@ -100,6 +85,105 @@ def all_strict_partial_orders(ids: Sequence[str]) -> List[FrozenSet[Tuple[str, s
             continue
         out.append(frozenset(rel))
     return out
+
+
+# ------------------------------------------------------ reference parser
+
+_TOKEN_RE = re.compile(r"(->)|([A-Za-z_][A-Za-z0-9_]*)|([!~&|()])|(\S)")
+
+
+def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        pos = match.start()
+        if match.group(1):
+            tokens.append(("op", "->", pos))
+        elif match.group(2):
+            tokens.append(("atom", match.group(2), pos))
+        elif match.group(3):
+            tokens.append(("op", match.group(3), pos))
+        else:
+            raise FormulaSyntaxError(f"unexpected character {match.group(4)!r}", pos)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    """Recursive descent following the precedence chain ! > & > | > ->."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> Tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def take(self) -> Tuple[str, str, int]:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def expect_op(self, op: str) -> None:
+        kind, value, pos = self.peek()
+        if kind != "op" or value != op:
+            raise FormulaSyntaxError(f"expected {op!r}", pos)
+        self.take()
+
+    def parse(self) -> Formula:
+        formula = self.implication()
+        kind, value, pos = self.peek()
+        if kind != "end":
+            raise FormulaSyntaxError(f"unexpected {value!r}", pos)
+        return formula
+
+    def implication(self) -> Formula:
+        left = self.disjunction()
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "->":
+            self.take()
+            return Implies(left, self.implication())
+        return left
+
+    def disjunction(self) -> Formula:
+        out = self.conjunction()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "|":
+                self.take()
+                out = formulas.disj(out, self.conjunction())
+            else:
+                return out
+
+    def conjunction(self) -> Formula:
+        out = self.unary()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "&":
+                self.take()
+                out = formulas.conj(out, self.unary())
+            else:
+                return out
+
+    def unary(self) -> Formula:
+        kind, value, pos = self.peek()
+        if kind == "op" and value in ("!", "~"):
+            self.take()
+            return Not(self.unary())
+        if kind == "op" and value == "(":
+            self.take()
+            inner = self.implication()
+            self.expect_op(")")
+            return inner
+        if kind == "atom":
+            self.take()
+            return Atom(value)
+        raise FormulaSyntaxError("expected a formula", pos)
+
+
+def reference_parse(text: str) -> Formula:
+    """The recursive-descent parser that `formulas.parse_formula`
+    replaced; bounded by the recursion limit, so for shallow input only."""
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------- oracles
