@@ -29,8 +29,11 @@ bit i of k is set), so a conjunction of premises is a bitwise AND.
 Above the cap the index owns one clause solver, `_Solver`, instead:
 each formula is Tseitin-translated once to a root variable, and every
 consistency or entailment question is one DPLL search under the roots
-it names (Eén & Sörensson 2003).  The two backends must agree wherever
-both run.
+it names (Eén & Sörensson 2003).  The assumed roots stay propagated
+between questions, one frame per root, so a question that shares a
+prefix of roots with the one before it propagates only the rest: a
+greedy walk that adds one premise per step propagates each premise
+once.  The two backends must agree wherever both run.
 """
 
 from __future__ import annotations
@@ -50,10 +53,12 @@ DEFAULT_ATOM_CAP = 20
 
 
 class _Node:
-    """Structural equality and hashing for the three node types, by
-    explicit stacks, so both work at any depth.  The hash, and the atom
-    set that `atoms_of` reads, are computed on first use and kept on the
-    node: nothing outlives the formula."""
+    """Structural equality, hashing and `repr` for the three node types,
+    by explicit stacks, so all work at any depth.  The hash, and the
+    atom set that `atoms_of` reads, are computed on first use and kept
+    on the node: nothing outlives the formula.  Pickling goes through
+    the printed text, and copies are the node itself, since nodes are
+    frozen."""
 
     _hash: Optional[int] = None
     _atoms: Optional[FrozenSet[str]] = None
@@ -87,18 +92,48 @@ class _Node:
                 object.__setattr__(f, "_hash", hash(key))
         return self._hash
 
+    def __repr__(self) -> str:
+        # the text of the dataclass-generated repr
+        pieces: List[str] = []
+        stack: List[object] = [self]
+        while stack:
+            f = stack.pop()
+            kind = type(f)
+            if kind is str:
+                pieces.append(f)
+            elif kind is Atom:
+                pieces.append(f"Atom(name={f.name!r})")
+            elif kind is Not:
+                pieces.append("Not(child=")
+                stack += (")", f.child)
+            elif kind is Implies:
+                pieces.append("Implies(left=")
+                stack += (")", f.right, ", right=", f.left)
+            else:
+                pieces.append(repr(f))
+        return "".join(pieces)
 
-@dataclass(frozen=True, eq=False)
+    def __reduce__(self):
+        return parse_formula, (format_formula(self, sugar=False),)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(_Node):
     child: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(_Node):
     left: "Formula"
     right: "Formula"
@@ -408,8 +443,13 @@ class _Solver:
 
     The search keeps two watched literals per clause and one trail,
     backtracks chronologically and learns nothing (Moskewicz et al.
-    2001).  Watch lists persist across calls; values are reset on exit.
-    Internally literal +v is 2v and -v is 2v + 1, so negation is `^ 1`.
+    2001).  The assumptions stay on the trail between calls as a stack
+    of frames, one per assumed literal (MiniSat's incremental solving,
+    Eén & Sörensson 2003): a call keeps the frames of the longest prefix
+    it shares with the last call's assumptions and propagates only the
+    rest, so a greedy walk that adds one premise per call propagates
+    each premise once.  Internally literal +v is 2v and -v is 2v + 1,
+    so negation is `^ 1`.
     """
 
     def __init__(self):
@@ -420,6 +460,13 @@ class _Solver:
         # per literal: the clauses watching it, visited when it turns false
         self._watches: List[List[List[int]]] = [[], []]
         self._trail: List[int] = []
+        # The frames: the assumed literals, and per frame the trail
+        # length and the length of `_free` once it is propagated.
+        # `_free` holds the atoms under the frames' roots that were
+        # unassigned when their frame was pushed.
+        self._assumed: List[int] = []
+        self._frames: List[Tuple[int, int]] = []
+        self._free: List[int] = []
 
     def root(self, formula: Formula) -> int:
         """The variable of `formula`, translated on first sight."""
@@ -449,6 +496,8 @@ class _Solver:
             pos, neg = 2 * var, 2 * var + 1
             if isinstance(key, str):
                 return var
+            if self._trail:  # watches are only sound for clauses added on an empty trail
+                self._pop_frames(0)
             if key[0] == "!":
                 child = 2 * key[1]
                 self._clause([neg, child ^ 1])
@@ -473,6 +522,12 @@ class _Solver:
         for lit in trail[length:]:
             value[lit] = value[lit ^ 1] = 0
         del trail[length:]
+
+    def _pop_frames(self, keep: int) -> None:
+        """Drop every frame above the first `keep`, and their trail."""
+        trail, free = self._frames[keep - 1] if keep else (0, 0)
+        self._undo(trail)
+        del self._assumed[keep:], self._frames[keep:], self._free[free:]
 
     def _propagate(self, head: int) -> bool:
         """Unit propagation from trail position `head`; False on a conflict."""
@@ -510,30 +565,49 @@ class _Solver:
     def solve(self, assumptions: Sequence[int]) -> bool:
         """Is some model of the clauses true on every assumed root?
 
-        Assumptions are root variables, negated for false.  Decisions go
-        only to the atoms under them, false first.  That is enough:
+        Assumptions are root variables, negated for false.  The frames
+        of the longest prefix shared with the last call stay; the rest
+        are pushed and propagated one by one, and a conflict leaves the
+        frames below it.  Decisions then go only to the atoms under the
+        roots, false first, and are undone on exit.  That is enough:
         once those atoms are set without a conflict, propagation has
         given every node under the roots the value of its subformula,
         and every other node is a function of atoms that nothing has
         set, so the partial assignment extends to a model.
         """
-        value, trail = self._value, self._trail
-        try:
-            for lit in assumptions:
-                code = 2 * lit if lit > 0 else 1 - 2 * lit
-                if value[code] < 0:
-                    return False
-                if not value[code]:
-                    self._assign(code)
-            if not self._propagate(0):
+        assumptions = list(assumptions)
+        assumed = self._assumed
+        keep = len(assumed)
+        if assumptions[:keep] != assumed:
+            # the shared prefix, by binary search over C-level slice compares
+            low, keep = 0, min(keep, len(assumptions))
+            while low < keep:
+                middle = (low + keep + 1) // 2
+                if assumptions[:middle] == assumed[:middle]:
+                    low = middle
+                else:
+                    keep = middle - 1
+            self._pop_frames(keep)
+        value, trail, free = self._value, self._trail, self._free
+        for lit in assumptions[keep:]:
+            code = 2 * lit if lit > 0 else 1 - 2 * lit
+            if value[code] < 0:
                 return False
-            free = list(dict.fromkeys(
-                atom for lit in assumptions for atom in self._atoms_under[abs(lit)]
-            ))
-            # (trail length before, decision literal, position in `free`);
-            # a positive decision is the second value tried
-            levels: List[Tuple[int, int, int]] = []
-            at = 0
+            if not value[code]:
+                head = len(trail)
+                self._assign(code)
+                if not self._propagate(head):
+                    self._undo(head)
+                    return False
+            free += [atom for atom in self._atoms_under[abs(lit)] if not value[2 * atom]]
+            assumed.append(lit)
+            self._frames.append((len(trail), len(free)))
+        base = len(trail)
+        # (trail length before, decision literal, position in `free`);
+        # a positive decision is the second value tried
+        levels: List[Tuple[int, int, int]] = []
+        at = 0
+        try:
             while True:
                 while at < len(free) and value[2 * free[at]]:
                     at += 1
@@ -551,7 +625,7 @@ class _Solver:
                     levels.append((start, decision ^ 1, at))
                     self._assign(decision ^ 1)
         finally:
-            self._undo(0)
+            self._undo(base)
 
 
 # ------------------------------------------------------- public decisions
@@ -587,7 +661,8 @@ class ConsistencyIndex:
     here, to a root variable, and each question solves under the roots
     it names (with the goal's root negated for `entails`).  A greedy
     walk grows a state from `top` by `meet`: a kept set's mask, or the
-    tuple of its roots above the cap.
+    tuple of its roots above the cap; a `meet` on the state the solver
+    last saw propagates only the root it adds.
     """
 
     def __init__(

@@ -1,4 +1,6 @@
+import copy
 import functools
+import pickle
 import random
 import time
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from inconlog import formulas
 from inconlog.errors import AtomCapExceeded, FormulaSyntaxError
+from inconlog.extensions import all_extensions
 from inconlog.formulas import (
     Atom,
     ConsistencyIndex,
@@ -22,6 +25,7 @@ from inconlog.formulas import (
     is_tautology,
     parse_formula,
 )
+from inconlog.theory import theory_of
 
 from util import _tokenize, random_formula, reference_parse
 
@@ -198,21 +202,65 @@ class TestSolverState:
         solver = ConsistencyIndex(by_id, extra=goals, max_atoms=0)
         masks = ConsistencyIndex(by_id, extra=goals)
         assert solver.atoms is None and masks.atoms is not None
+        # states reached by `meet`, grown again from any of them as the
+        # depth-first greedy-state search does
+        states = [(solver.top, masks.top)]
+        chosen, goal = [], goals[0]
         for _ in range(100):
             kind = rng.choice(("consistent", "entails", "meet"))
-            chosen = rng.choices(ids, k=rng.randrange(7))
-            goal = rng.choice(goals)
+            if rng.random() < 0.2:
+                pass  # the same set and goal as the last call
+            elif rng.random() < 0.5:
+                chosen, goal = rng.sample(ids, rng.randrange(len(ids) + 1)), rng.choice(goals)
+            else:
+                # a prefix of the last set, then more; half of these put
+                # the clashing pair p0, n partway, with premises after it
+                chosen = chosen[:rng.randrange(len(chosen) + 1)] + rng.choices(ids, k=rng.randrange(3))
+                if rng.random() < 0.5:
+                    chosen += ["p0", "n"] + rng.choices(ids, k=rng.randrange(1, 3))
             if kind == "consistent":
                 assert solver.consistent(chosen) == masks.consistent(chosen)
             elif kind == "entails":
                 assert solver.entails(chosen, goal) == masks.entails(chosen, goal)
             else:
-                left, right = solver.top, masks.top
+                left, right = rng.choice(states)
                 for pid in chosen:
                     grown, narrowed = solver.meet(left, pid), masks.meet(right, pid)
                     assert (grown is None) == (narrowed is None)
                     if grown is not None:
                         left, right = grown, narrowed
+                        states.append((left, right))
+
+    def test_new_clauses_after_a_solve(self):
+        # `a` stays assumed after the first call; the clauses of f are
+        # added later, and must still see it: with a true, f is false
+        solver = formulas._Solver()
+        a = solver.root(Atom("a"))
+        assert solver.solve([a])
+        f = solver.root(parse_formula("a -> (c | a -> !a)"))
+        assert not solver.solve([a, f])
+        assert solver.solve([f]) and solver.solve([-a, f])
+
+    def test_greedy_walk_propagates_each_premise_once(self, monkeypatch):
+        # x0, x0 -> x1, ..., x398 -> x399, then !x399, in a total order:
+        # each greedy step adds one premise, so its propagation must not
+        # walk the kept ones again
+        ids = [f"p{i}" for i in range(401)]
+        premises = [("p0", "x0")] + [(f"p{i}", f"x{i - 1} -> x{i}") for i in range(1, 400)]
+        premises.append(("p400", "!x399"))
+        theory = theory_of(premises, zip(ids[1:], ids))
+        walked = []
+        propagate = formulas._Solver._propagate
+
+        def counting(solver, head):
+            try:
+                return propagate(solver, head)
+            finally:
+                walked.append(len(solver._trail) - head)
+
+        monkeypatch.setattr(formulas._Solver, "_propagate", counting)
+        assert list(all_extensions(theory)) == [frozenset(ids[:400])]
+        assert sum(walked) < 10 * len(ids)
 
     def test_equal_formulas_share_a_models_key(self):
         # two parses of one text are equal but distinct objects
@@ -264,6 +312,20 @@ class TestDeepFormulas:
         assert parse_formula("(" * 3000 + "a" + ")" * 3000) == Atom("a")
         text = "(" * 3000 + "a & b" + ")" * 3000 + " -> c"
         assert parse_formula(text) == parse_formula("a & b -> c")
+
+    @pytest.mark.parametrize("deep", [
+        parse_formula("!" * 3000 + "a"),
+        functools.reduce(conj, [Atom(f"a{i}") for i in range(1000)]),
+    ], ids=["negations", "conjunction"])
+    def test_repr_pickle_and_copy(self, deep):
+        for copied in (pickle.loads(pickle.dumps(deep)), copy.copy(deep), copy.deepcopy(deep)):
+            assert copied == deep and hash(copied) == hash(deep)
+        assert repr(deep).startswith(("Not(child=Not(child=", "Not(child=Implies(left="))
+
+    def test_repr_is_the_dataclass_text(self):
+        f = parse_formula("!(a -> b) -> c")
+        assert repr(f) == ("Implies(left=Not(child=Implies(left=Atom(name='a'), "
+                           "right=Atom(name='b'))), right=Atom(name='c'))")
 
     def test_equality_and_hash_of_ten_thousand_node_trees(self):
         def wide(first):
