@@ -27,11 +27,11 @@ never consult the order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import formulas
 from .arguments import DEFAULT_SUBSET_BUDGET, minimal_subsets
-from .errors import TheoryFormatError
+from .errors import InputError, TheoryFormatError
 from .formulas import Atom, Formula, Implies, Not, conj, DEFAULT_ATOM_CAP
 from .theory import Premise, ReliabilityTheory
 
@@ -73,6 +73,15 @@ class Justification:
     deny: bool = False  # a deny justification concludes !head
 
 
+class AtmsProblemError(InputError):
+    """An ill-formed ATMS problem; `statement` is the offending atom or
+    justification."""
+
+    def __init__(self, message: str, statement: "str | Justification"):
+        super().__init__(message)
+        self.statement = statement
+
+
 @dataclass(frozen=True)
 class AtmsProblem:
     assumptions: FrozenSet[str]
@@ -82,14 +91,16 @@ class AtmsProblem:
     def __post_init__(self):
         overlap = self.assumptions & self.nodes
         if overlap:
-            raise ValueError(f"atoms declared twice: {sorted(overlap)}")
+            message = f"atoms declared twice: {sorted(overlap)}"
+            raise AtmsProblemError(message, min(overlap))
         known = self.assumptions | self.nodes
         for j in self.justifications:
             if j.head not in self.nodes:
-                raise ValueError(f"justification head {j.head!r} is not a node")
+                message = f"justification head {j.head!r} is not a node"
+                raise AtmsProblemError(message, j)
             stray = j.body - known
             if stray:
-                raise ValueError(f"unknown atoms in body: {sorted(stray)}")
+                raise AtmsProblemError(f"unknown atoms in body: {sorted(stray)}", j)
 
 
 def justification_formula(j: Justification) -> Formula:
@@ -182,6 +193,8 @@ def parse_atms(text: str) -> AtmsProblem:
     assumptions: List[str] = []
     nodes: List[str] = []
     justifications: List[Justification] = []
+    # atom -> the line that last declares it; justification -> its first line
+    line_of: Dict["str | Justification", int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -195,6 +208,7 @@ def parse_atms(text: str) -> AtmsProblem:
             if not rest.isidentifier():
                 raise TheoryFormatError(f"bad atom name {rest!r}", lineno)
             (assumptions if keyword == "assume" else nodes).append(rest)
+            line_of[rest] = lineno
             continue
         if keyword in ("just", "deny"):
             body_text, arrow, head = rest.rpartition("->")
@@ -208,8 +222,12 @@ def parse_atms(text: str) -> AtmsProblem:
             justifications.append(
                 Justification(frozenset(body), head, deny=keyword == "deny")
             )
+            line_of.setdefault(justifications[-1], lineno)
             continue
         raise TheoryFormatError(f"unknown statement {keyword!r}", lineno)
-    return AtmsProblem(
-        frozenset(assumptions), frozenset(nodes), tuple(justifications)
-    )
+    try:
+        return AtmsProblem(
+            frozenset(assumptions), frozenset(nodes), tuple(justifications)
+        )
+    except AtmsProblemError as err:
+        raise TheoryFormatError(str(err), line_of[err.statement]) from err

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 for success (and "yes" answers), 1 for "no" answers,
-2 for parse or validation problems, 3 for exceeded caps or budgets.
+2 for unreadable input files and parse or validation problems, 3 for
+exceeded caps or budgets.
 Formulas are parsed and walked by loops, so nesting depth alone never
 fails; a RecursionError still exits 3, as a guard, not a traceback.
 Output is deterministic byte for byte: collections are sorted before
@@ -313,7 +314,8 @@ def run(argv: Sequence[str], out: Optional[IO[str]] = None) -> int:
     except InputError as err:
         print(f"error: {err}", file=stream)
         return 2
-    except FileNotFoundError as err:
+    except (OSError, UnicodeDecodeError) as err:
+        # a missing, unreadable or non-UTF-8 input file
         print(f"error: {err}", file=stream)
         return 2
     except CapExceeded as err:

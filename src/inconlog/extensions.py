@@ -48,7 +48,6 @@ components, that share an atom with the goal.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -86,16 +85,6 @@ class ExtensionSet:
         return item in self.members
 
 
-def _greedy(index: ConsistencyIndex, ranking) -> FrozenSet[str]:
-    kept, state = [], index.top
-    for pid in ranking:
-        grown = index.meet(state, pid)
-        if grown is not None:
-            kept.append(pid)
-            state = grown
-    return frozenset(kept)
-
-
 def most_reliable_set(
     theory: ReliabilityTheory,
     order: TotalOrder,
@@ -103,7 +92,13 @@ def most_reliable_set(
 ) -> FrozenSet[str]:
     """Greedy most-reliable-first consistent accumulation for one order."""
     index = ConsistencyIndex(theory.formulas_by_id(), max_atoms=max_atoms)
-    return _greedy(index, order.ranking)
+    kept, state = [], index.top
+    for pid in order.ranking:
+        grown = index.meet(state, pid)
+        if grown is not None:
+            kept.append(pid)
+            state = grown
+    return frozenset(kept)
 
 
 class _Work:
@@ -131,14 +126,13 @@ def _state_budget(units: int, atoms: int, max_atoms: int) -> Optional[int]:
 
 def _greedy_states(
     index: ConsistencyIndex,
-    reps: Sequence[str],
-    above: Sequence[int],
+    ids: Sequence[str],
+    units: int,
+    above: Dict[int, int],
     work: _Work,
     budget: Optional[int],
 ) -> Optional[List[int]]:
-    """Kept bitsets of the complete greedy states, or None past `budget`."""
-    size = len(reps)
-    full = (1 << size) - 1
+    """Kept unit bitsets of the complete greedy states, or None past `budget`."""
     # kept bitset -> its index state, None if it clashes
     kept_state = {0: index.top}
     results = set()
@@ -149,16 +143,16 @@ def _greedy_states(
             return None
         placed, kept = stack.pop()
         work.charge(states=1)
-        if placed == full:
+        if placed == units:
             results.add(kept)
             continue
-        for i in range(size):
+        for i, up in above.items():
             bit = 1 << i
-            if placed & bit or above[i] & ~placed:
+            if placed & bit or up & ~placed:
                 continue
             grown = kept | bit
             if grown not in kept_state:
-                kept_state[grown] = index.meet(kept_state[kept], reps[i])
+                kept_state[grown] = index.meet(kept_state[kept], ids[i])
             state = (placed | bit, kept if kept_state[grown] is None else grown)
             if state not in seen:
                 seen.add(state)
@@ -167,7 +161,11 @@ def _greedy_states(
 
 
 def _realisable_groups(
-    index: ConsistencyIndex, reps: Sequence[str], above: Sequence[int], work: _Work
+    index: ConsistencyIndex,
+    ids: Sequence[str],
+    units: int,
+    above: Dict[int, int],
+    work: _Work,
 ) -> List[int]:
     """Bitsets of the satisfied premise sets that some order yields.
 
@@ -178,10 +176,9 @@ def _realisable_groups(
     premises placed so far refute it.  Placing only ever enables more
     placements, so the order of placement does not matter.
     """
-    size = len(reps)
-    masks = [index.masks[pid] for pid in reps]
+    masks = {i: index.masks[ids[i]] for i in above}
     groups = {0: index.full_mask}
-    for i, mask in enumerate(masks):
+    for i, mask in masks.items():
         split: Dict[int, int] = {}
         for sat, models in groups.items():
             if models & mask:
@@ -195,16 +192,16 @@ def _realisable_groups(
         placed, models, grew = 0, index.full_mask, True
         while grew:
             grew = False
-            for i in range(size):
+            for i, up in above.items():
                 bit = 1 << i
-                if placed & bit or above[i] & ~placed:
+                if placed & bit or up & ~placed:
                     continue
                 if sat & bit:
                     models &= masks[i]
                 elif models & masks[i]:
                     continue
                 placed, grew = placed | bit, True
-        if placed == (1 << size) - 1:
+        if placed == units:
             realised.append(sat)
     return realised
 
@@ -243,31 +240,25 @@ def _search(
     for block in blocks:
         # Premises with the same models (above the atom cap: formula) and
         # the same place in the block's order form a unit, kept or dropped
-        # whole; the search sees each unit's first premise.
+        # whole and named by the position of its first premise.
         groups: Dict[tuple, List[int]] = {}
         for i in positions_of(block):
             key = (index.same_models_key(ids[i]), bits.above[i] & block, bits.below[i] & block)
             groups.setdefault(key, []).append(i)
-        units = list(groups.values())
-        firsts = [group[0] for group in units]
-        # bit u of a unit's `above` is the bit at position firsts[u]
-        pick = operator.itemgetter(*firsts)
-        above = [
-            int("".join(pick(format(bits.above[i], f"0{len(ids)}b")[::-1]))[::-1], 2)
-            for i in firsts
-        ]
-        reps = [ids[i] for i in firsts]
-        width = len(atoms_of_all(index.formulas[pid] for pid in reps))
-        budget = _state_budget(len(reps), width, max_atoms)
-        kept_sets = _greedy_states(index, reps, above, work, budget)
+        members = {group[0]: group for group in groups.values()}
+        units = sum(1 << i for i in members)
+        above = {i: bits.above[i] & units for i in members}
+        width = len(atoms_of_all(index.formulas[ids[i]] for i in members))
+        budget = _state_budget(len(members), width, max_atoms)
+        kept_sets = _greedy_states(index, ids, units, above, work, budget)
         if kept_sets is None:
             local = ConsistencyIndex(
-                {pid: index.formulas[pid] for pid in reps}, max_atoms=max_atoms
+                {ids[i]: index.formulas[ids[i]] for i in members}, max_atoms=max_atoms
             )
-            kept_sets = _realisable_groups(local, reps, above, work)
+            kept_sets = _realisable_groups(local, ids, units, above, work)
         work.finished += 1
         per_block.append([
-            frozenset(ids[i] for u, group in enumerate(units) if kept >> u & 1 for i in group)
+            frozenset(ids[j] for i in positions_of(kept) for j in members[i])
             for kept in kept_sets
         ])
     return fixed, per_block

@@ -676,16 +676,16 @@ class ConsistencyIndex:
         atoms = tuple(sorted(atoms_of_all([*self.formulas.values(), *extra])))
         self.atoms: Optional[Tuple[str, ...]] = atoms if len(atoms) <= max_atoms else None
         if self.atoms is None:
-            self.full_mask, self.top, self.masks, self._extra_masks = 0, (), {}, {}
+            self.full_mask, self.top, self.masks = 0, (), {}
             self._solver = _Solver()
             self._roots = {pid: self._solver.root(f) for pid, f in self.formulas.items()}
-            for f in extra:
-                self._solver.root(f)
+            # each `extra` formula -> its root here, its model mask below the cap
+            self._extra = {f: self._solver.root(f) for f in extra}
             return
         full = self.full_mask = self.top = (1 << (1 << len(atoms))) - 1
         pattern = _patterns(atoms)
         self.masks = {pid: _models(f, full, pattern) for pid, f in self.formulas.items()}
-        self._extra_masks = {f: _models(f, full, pattern) for f in extra}
+        self._extra = {f: _models(f, full, pattern) for f in extra}
 
     def same_models_key(self, pid: str) -> object:
         """Equal for premises with the same models (above the cap: equal
@@ -716,5 +716,5 @@ class ConsistencyIndex:
         """Do the premises `ids` entail `goal`, one of the `extra` formulas?"""
         if self.atoms is None:
             roots = [self._roots[pid] for pid in ids]
-            return not self._solver.solve(roots + [-self._solver.root(goal)])
-        return self.subset_mask(ids) & ~self._extra_masks[goal] == 0
+            return not self._solver.solve(roots + [-self._extra[goal]])
+        return self.subset_mask(ids) & ~self._extra[goal] == 0

@@ -29,6 +29,7 @@ from .formulas import (
     Interpretation,
     DEFAULT_ATOM_CAP,
     interpretation_of_index,
+    positions_of,
 )
 from .theory import (
     DEFAULT_EXTENSION_CAP,
@@ -134,11 +135,7 @@ def preferred_models(
         for member in options:
             union |= index.subset_mask(member)
         mask &= union
-    return frozenset(
-        interpretation_of_index(k, atoms)
-        for k, bit in enumerate(reversed(bin(mask)[2:]))
-        if bit == "1"
-    )
+    return frozenset(interpretation_of_index(k, atoms) for k in positions_of(mask))
 
 
 def revise(theory: ReliabilityTheory, alpha: Formula) -> ReliabilityTheory:

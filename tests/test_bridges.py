@@ -339,3 +339,15 @@ class TestAtmsParsing:
         with pytest.raises(TheoryFormatError) as err:
             parse_atms("node n.\nbelieve n.")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("text, line", [
+        ("assume a.\nnode a.", 2),  # an atom both assumed and a node
+        ("node a.\nassume b.\nassume a.\nnode n.", 3),
+        ("node n.\njust a -> m.", 2),  # a head that is not a node
+        ("assume a.\nnode n.\njust b -> n.", 3),  # a body atom never declared
+        ("node n.\njust -> n.\nassume a.\ndeny a, c -> n.", 4),
+    ])
+    def test_ill_formed_problem_names_the_statement(self, text, line):
+        with pytest.raises(TheoryFormatError) as err:
+            parse_atms(text)
+        assert err.value.line == line

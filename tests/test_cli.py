@@ -225,6 +225,35 @@ class TestFailureModes:
         assert code == 2
         assert text.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "command", [["extensions"], ["atms", "--nogoods"]], ids=["theory", "atms"]
+    )
+    @pytest.mark.parametrize(
+        "content", [None, b"assume \xff.\n"], ids=["directory", "not-utf-8"]
+    )
+    def test_unreadable_input(self, tmp_path, command, content):
+        # a directory, or a file that is not UTF-8: an error line, not a
+        # traceback that would exit 1
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "input"
+            path.write_bytes(content)
+        code, text = invoke(command[0], str(path), *command[1:])
+        assert code == 2
+        assert text.startswith("error:")
+
+    @pytest.mark.parametrize("lines, line", [
+        (["assume a.", "node a."], 2),
+        (["node n.", "just a -> m."], 2),
+        (["assume a.", "node n.", "just b -> n."], 3),
+    ])
+    def test_malformed_atms(self, tmp_path, lines, line):
+        path = tmp_path / "bad.atms"
+        path.write_text("\n".join(lines) + "\n")
+        code, text = invoke("atms", str(path), "--nogoods")
+        assert code == 2
+        assert text.startswith(f"error: line {line}: ")
+
     def test_bad_formula(self):
         code, text = invoke("entails", fixture_path("example1.rt"), "a ->")
         assert code == 2

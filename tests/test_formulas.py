@@ -231,6 +231,14 @@ class TestSolverState:
                         left, right = grown, narrowed
                         states.append((left, right))
 
+    def test_goal_outside_extra_is_refused_by_both_backends(self):
+        by_id = {"p": parse_formula("a -> b"), "q": parse_formula("a")}
+        for max_atoms in (0, formulas.DEFAULT_ATOM_CAP):
+            index = ConsistencyIndex(by_id, extra=(Atom("b"),), max_atoms=max_atoms)
+            assert index.entails(["p", "q"], Atom("b"))
+            with pytest.raises(KeyError):
+                index.entails(["p", "q"], Atom("a"))
+
     def test_new_clauses_after_a_solve(self):
         # `a` stays assumed after the first call; the clauses of f are
         # added later, and must still see it: with a true, f is false

@@ -1,7 +1,7 @@
 """Guards on the library source: no process-wide caches, one module that
 picks the consistency backend and owns its clause solver, one that
 reads the order pairs, one atom-part routine, one subset sweep, one
-formula parser and no recursion."""
+formula parser, one set-bit decoder and no recursion."""
 
 import ast
 import pathlib
@@ -110,3 +110,16 @@ def test_one_formula_parser():
     # formulas.parse_formula is one loop over the tokens; the recursive
     # descent it replaced lives on only in tests/util.py
     assert offending_lines(r"^class _Parser\b") == []
+
+
+def test_one_set_bit_decoder():
+    # formulas.positions_of is the only code that turns a bitset into
+    # positions; no other library code prints a number to read its bits
+    tree = ast.parse(next(p for p in SOURCES if p.name == "formulas.py").read_text())
+    decoder = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "positions_of"
+    )
+    inside = {f"formulas.py:{n}" for n in range(decoder.lineno, decoder.end_lineno + 1)}
+    calls = offending_lines(r"\b(bin|format)\(")
+    assert [line for line in calls if ":".join(line.split(":")[:2]) not in inside] == []
