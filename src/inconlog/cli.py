@@ -201,8 +201,7 @@ def _cmd_argue(ns, out: IO[str]) -> int:
 
 def _cmd_atms(ns, out: IO[str]) -> int:
     caps = _caps(ns)
-    with open(ns.file, encoding="utf-8") as handle:
-        problem = bridges.parse_atms(handle.read())
+    problem = bridges.parse_atms(files.read_text(ns.file))
     if ns.node is not None:
         try:
             labels = bridges.atms_labels(
@@ -314,8 +313,8 @@ def run(argv: Sequence[str], out: Optional[IO[str]] = None) -> int:
     except InputError as err:
         print(f"error: {err}", file=stream)
         return 2
-    except (OSError, UnicodeDecodeError) as err:
-        # a missing, unreadable or non-UTF-8 input file
+    except OSError as err:
+        # a missing or unreadable input file
         print(f"error: {err}", file=stream)
         return 2
     except CapExceeded as err:

@@ -124,6 +124,17 @@ def _state_budget(units: int, atoms: int, max_atoms: int) -> Optional[int]:
     return (units + 1) << atoms if atoms <= max_atoms else None
 
 
+def _frontier(above: Dict[int, int]) -> List[int]:
+    # upto[k]: the units with at most k units above.  With c units placed
+    # only upto[c] can hold a placeable one (one, on a total order).
+    upto = [0] * len(above)
+    for i, up in above.items():
+        upto[up.bit_count()] |= 1 << i
+    for k in range(1, len(upto)):
+        upto[k] |= upto[k - 1]
+    return upto
+
+
 def _greedy_states(
     index: ConsistencyIndex,
     ids: Sequence[str],
@@ -137,7 +148,7 @@ def _greedy_states(
     kept_state = {0: index.top}
     results = set()
     seen = {(0, 0)}
-    stack = [(0, 0)]
+    stack, upto = [(0, 0)], _frontier(above)
     while stack:
         if budget is not None and len(seen) > budget:
             return None
@@ -146,10 +157,10 @@ def _greedy_states(
         if placed == units:
             results.add(kept)
             continue
-        for i, up in above.items():
-            bit = 1 << i
-            if placed & bit or up & ~placed:
+        for i in positions_of(upto[placed.bit_count()] & ~placed):
+            if above[i] & ~placed:
                 continue
+            bit = 1 << i
             grown = kept | bit
             if grown not in kept_state:
                 kept_state[grown] = index.meet(kept_state[kept], ids[i])
@@ -187,15 +198,15 @@ def _realisable_groups(
                 split[sat] = models & ~mask
         work.charge(states=len(split) - len(groups))
         groups = split
-    realised = []
+    realised, upto = [], _frontier(above)
     for sat in groups:
         placed, models, grew = 0, index.full_mask, True
-        while grew:
+        while grew and placed != units:
             grew = False
-            for i, up in above.items():
-                bit = 1 << i
-                if placed & bit or up & ~placed:
+            for i in positions_of(upto[placed.bit_count()] & ~placed):
+                if above[i] & ~placed:
                     continue
+                bit = 1 << i
                 if sat & bit:
                     models &= masks[i]
                 elif models & masks[i]:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from . import formulas
-from .errors import FormulaSyntaxError, TheoryFormatError
+from .errors import FormulaSyntaxError, InputError, TheoryFormatError
 from .theory import Premise, ReliabilityTheory
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -56,16 +56,34 @@ def parse_theory(text: str) -> ReliabilityTheory:
 
 
 def render_theory(theory: ReliabilityTheory) -> str:
+    """The premises in declaration order, then the order pairs sorted by
+    lower id, then upper id (the order of `sorted` on the pairs)."""
     lines = [
         f"premise {p.id}: {formulas.format_formula(p.formula)}"
         for p in theory.premises
     ]
-    lines.extend(f"order {x} < {y}" for x, y in sorted(theory.order))
+    uppers: Dict[str, List[str]] = {}
+    for x, y in theory.order:
+        uppers.setdefault(x, []).append(y)
+    for x in sorted(uppers):  # one entry per lower id, its lines joined
+        lines.append(f"order {x} < " + f"\norder {x} < ".join(sorted(uppers[x])))
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: "str | Path") -> str:
+    """A UTF-8 file's text; a non-UTF-8 byte is an InputError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # numbered as the readers number lines, by str.splitlines
+        line = len((data[:err.start].decode("utf-8") + "?").splitlines())
+        bad = f"not valid UTF-8 (byte 0x{data[err.start]:02x})"
+        raise InputError(f"{path}, line {line}: {bad}") from None
+
+
 def load_theory(path: "str | Path") -> ReliabilityTheory:
-    return parse_theory(Path(path).read_text(encoding="utf-8"))
+    return parse_theory(read_text(path))
 
 
 def save_theory(theory: ReliabilityTheory, path: "str | Path") -> None:

@@ -147,17 +147,16 @@ def revise(theory: ReliabilityTheory, alpha: Formula) -> ReliabilityTheory:
     and every survivor is placed below the fresh premise.
     """
     ensure_valid(theory)
-    kept = tuple(p for p in theory.premises if p.formula != alpha)
+    # a valid theory's premises hold the first positions of its order
+    keep = sum(1 << i for i, p in enumerate(theory.premises) if p.formula != alpha)
+    kept = tuple(theory.premises[i] for i in positions_of(keep))
     kept_ids = {p.id for p in kept}
     serial = 0
     while f"{REVISION_ID_STEM}_{serial}" in kept_ids:
         serial += 1
     new_id = f"{REVISION_ID_STEM}_{serial}"
-    pairs = {
-        (x, y) for x, y in closure_of(theory) if x in kept_ids and y in kept_ids
-    }
-    pairs.update((pid, new_id) for pid in kept_ids)
-    return ReliabilityTheory(kept + (Premise(new_id, alpha),), frozenset(pairs))
+    pairs = closure_of(theory, keep).union((pid, new_id) for pid in kept_ids)
+    return ReliabilityTheory(kept + (Premise(new_id, alpha),), pairs)
 
 
 def conditional(

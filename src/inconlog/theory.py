@@ -140,10 +140,11 @@ def theory_of(
     return ReliabilityTheory(built, frozenset(order))
 
 
-def closure_of(theory: ReliabilityTheory) -> FrozenSet[Pair]:
-    bits = theory.order_bits
-    pairs = ((x, y) for x, up in enumerate(bits.above) for y in positions_of(up))
-    return frozenset((bits.names[x], bits.names[y]) for x, y in pairs)
+def closure_of(theory: ReliabilityTheory, keep: int = -1) -> FrozenSet[Pair]:
+    """The closure's (less, more) pairs within the position bitset `keep`."""
+    names, above = theory.order_bits.names, theory.order_bits.above
+    return frozenset((names[x], names[y]) for x in range(len(names)) if keep >> x & 1
+                     for y in positions_of(above[x] & keep))
 
 
 @dataclass(frozen=True)

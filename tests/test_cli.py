@@ -242,6 +242,21 @@ class TestFailureModes:
         assert code == 2
         assert text.startswith("error:")
 
+    @pytest.mark.parametrize("command, content, line, byte", [
+        (["check"], b"premise p: \xff\n", 1, "0xff"),
+        (["extensions"], b"premise p: a\n\npremise q: b & \xff\n", 3, "0xff"),
+        (["atms", "--nogoods"], b"assume \xff.\n", 1, "0xff"),
+        (["atms", "--nogoods"], b"assume a.\r\nnode \xe9.\n", 2, "0xe9"),
+        (["check"], b"premise p: a\rpremise q: \xc3(\n", 2, "0xc3"),
+    ])
+    def test_not_utf8_names_the_file_and_line(self, tmp_path, command, content, line, byte):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        code, text = invoke(command[0], str(path), *command[1:])
+        assert (code, text) == (
+            2, f"error: {path}, line {line}: not valid UTF-8 (byte {byte})\n"
+        )
+
     @pytest.mark.parametrize("lines, line", [
         (["assume a.", "node a."], 2),
         (["node n.", "just a -> m."], 2),

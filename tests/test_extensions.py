@@ -12,10 +12,12 @@ from inconlog.extensions import (
     most_reliable_set,
     skeptical_entails,
 )
+from inconlog.files import load_theory
 from inconlog.formulas import parse_formula
 from inconlog.semantics import revise, satisfied_premises
-from inconlog.theory import Premise, ReliabilityTheory, theory_of
+from inconlog.theory import Premise, ReliabilityTheory, first_linear_extension, theory_of
 
+from conftest import invoke
 from util import (
     linear_extensions,
     oracle_extensions,
@@ -23,6 +25,7 @@ from util import (
     oracle_preferred,
     random_formula,
     random_theory,
+    shaped_order_pairs,
 )
 
 
@@ -138,6 +141,68 @@ class TestBlockSearch:
         expected = sets([set(premises) - {"n"}, {"n"}])
         assert all_extensions(t, extension_cap=10).members == expected
         assert all_extensions(t, max_atoms=0, extension_cap=10).members == expected
+
+    @pytest.mark.parametrize("shape", ["layered", "diamond", "two-chain"])
+    def test_units_with_several_covers(self, monkeypatch, shape):
+        # a unit is placeable only once all its covers are: the frontier
+        # of units with few enough units above must not skip or reorder
+        # one, by states or by models, under either backend
+        rng = random.Random(1409)
+        atoms = ["a", "b", "c", "d"]
+        for _ in range(60):
+            ids = [f"p{i}" for i in range(1, rng.randint(4, 7) + 1)]
+            premises = tuple(
+                Premise(pid, random_formula(rng, atoms, rng.randint(0, 2))) for pid in ids
+            )
+            rng.shuffle(ids)
+            t = ReliabilityTheory(premises, frozenset(shaped_order_pairs(rng, ids, shape)))
+            goal = random_formula(rng, atoms, 2)
+            expected = oracle_extensions(t)
+            by_id = t.formulas_by_id()
+            verdicts = [
+                formulas.entails([by_id[pid] for pid in member], goal)
+                for member in expected
+            ]
+            for route in self.ROUTES.values():
+                monkeypatch.setattr(extensions, "_state_budget", route)
+                for max_atoms in (20, 0):
+                    assert all_extensions(t, max_atoms=max_atoms).members == expected
+                    assert skeptical_entails(t, goal, max_atoms=max_atoms) == all(verdicts)
+                    assert credulous_entails(t, goal, max_atoms=max_atoms) == any(verdicts)
+
+    def test_states_are_visited_in_ascending_unit_order(self):
+        # the state search passes its budget and the model route answers;
+        # the states charged before the switch depend on the visit order,
+        # which decides whether a cap of 60 is enough
+        t = theory_of({
+            "p1": "b -> a", "p2": "!a", "p3": "b", "p4": "a -> c",
+            "p5": "b", "p6": "c & b", "p7": "a & b", "p8": "!b",
+        })
+        message = r"\(58 states visited, 1 of 1 blocks finished, 3 members to build\)"
+        with pytest.raises(ExtensionCapExceeded, match=message):
+            all_extensions(t, extension_cap=60)
+        assert all_extensions(t, extension_cap=61).members == sets(
+            [{"p1", "p2", "p4", "p8"}, {"p1", "p3", "p4", "p5", "p6", "p7"},
+             {"p2", "p3", "p4", "p5", "p6"}]
+        )
+
+    def test_long_total_order_in_one_block(self, tmp_path):
+        # 2,000 two-literal clauses over four atoms in one total order: one
+        # block whose states each have one placeable unit (1.3 s when every
+        # unit was scanned per state; the gate is 0.3 s)
+        rng = random.Random(7)
+        literals = ["a", "b", "c", "d", "!a", "!b", "!c", "!d"]
+        ids = [f"c{i:04d}" for i in range(2000)]
+        lines = [f"premise {pid}: {rng.choice(literals)} | {rng.choice(literals)}" for pid in ids]
+        lines += [f"order {less} < {more}" for more, less in zip(ids, ids[1:])]
+        path = tmp_path / "total.rt"
+        path.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        code, text = invoke("extensions", str(path))
+        assert time.perf_counter() - start < 0.3
+        t = load_theory(path)
+        kept = most_reliable_set(t, first_linear_extension(t))
+        assert (code, text) == (0, " ".join(sorted(kept)) + "\n(count: 1)\n")
 
     def test_wide_block_over_few_atoms(self):
         # 40 distinct unordered premises over 3 atoms: too wide for the

@@ -1,11 +1,13 @@
 import random
 import time
+from typing import Dict, Set
 
 import pytest
 
 from inconlog import formulas
 from inconlog.errors import InvalidTheoryError
 from inconlog.extensions import all_extensions, credulous_entails, skeptical_entails
+from inconlog.files import parse_theory, render_theory
 from inconlog.formulas import parse_formula
 from inconlog.semantics import (
     REVISION_ID_STEM,
@@ -18,7 +20,7 @@ from inconlog.semantics import (
 )
 from inconlog.theory import Premise, ReliabilityTheory, theory_of
 
-from util import oracle_preferred, random_theory
+from util import oracle_preferred, random_theory, transitive_closure
 
 
 def sets(items):
@@ -156,6 +158,41 @@ class TestRevise:
             expansion_theory.order,
         )
         assert not skeptical_entails(expanded, alpha)
+
+    def test_written_revision_matches_the_closure_reference(self):
+        # orders given as full closures and as covers; alpha is a premise
+        # in the middle of the order, so pairs that passed through it must
+        # survive; ids p1..p14 sort p10 before p2 as strings
+        rng = random.Random(1414)
+        new_id = f"{REVISION_ID_STEM}_0"
+        for k in range(500):
+            t = random_theory(
+                rng, rng.randint(2, 14), ["a", "b", "c"], (0.2, 0.5, 0.8)[k % 3],
+                depth=rng.randint(0, 1),
+            )
+            closure = transitive_closure(t.order)
+            above: Dict[str, Set[str]] = {}
+            for x, y in closure:
+                above.setdefault(x, set()).add(y)
+            if k % 2:
+                implied = {(x, z) for x, y in closure for z in above.get(y, ())}
+                t = ReliabilityTheory(t.premises, closure - implied)
+            else:
+                t = ReliabilityTheory(t.premises, closure)
+            assert parse_theory(render_theory(t)) == t
+            middle = sorted(set(above).intersection(y for _, y in closure))
+            alpha = t.formula_of(rng.choice(middle or list(t.ids)))
+            kept = [p for p in t.premises if p.formula != alpha]
+            kept_ids = {p.id for p in kept}
+            pairs = {(x, y) for x, y in closure if x in kept_ids and y in kept_ids}
+            pairs |= {(pid, new_id) for pid in kept_ids}
+            expected = "".join(
+                f"premise {p.id}: {formulas.format_formula(p.formula)}\n"
+                for p in kept + [Premise(new_id, alpha)]
+            ) + "".join(f"order {x} < {y}\n" for x, y in sorted(pairs))
+            revised = revise(t, alpha)
+            assert render_theory(revised) == expected
+            assert parse_theory(render_theory(revised)) == revised
 
 
 class TestConditional:

@@ -54,6 +54,32 @@ def random_order_pairs(
     return pairs
 
 
+def shaped_order_pairs(
+    rng: random.Random, ids: Sequence[str], shape: str
+) -> Set[Tuple[str, str]]:
+    """Cover pairs of a "layered", "diamond" or "two-chain" order over
+    `ids`, most reliable first: orders where a premise can have several
+    covers, or none in common with its neighbours in `ids`."""
+    pairs = set()
+    if shape == "layered":
+        layers, rest = [], list(ids)
+        while rest:
+            width = rng.randint(1, 3)
+            layers.append(rest[:width])
+            rest = rest[width:]
+        for upper, lower in zip(layers, layers[1:]):
+            pairs.update((x, y) for x in lower for y in upper if rng.random() < 0.7)
+    elif shape == "diamond":
+        # each top above two middles, both above the next top
+        for i in range(0, len(ids) - 3, 3):
+            top, left, right, bottom = ids[i:i + 4]
+            pairs |= {(left, top), (right, top), (bottom, left), (bottom, right)}
+    else:
+        for chain in (ids[0::2], ids[1::2]):
+            pairs.update(zip(chain[1:], chain))
+    return pairs
+
+
 def random_theory(
     rng: random.Random,
     n_premises: int,
