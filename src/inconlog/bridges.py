@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from . import formulas
+from . import files, formulas
 from .arguments import DEFAULT_SUBSET_BUDGET, minimal_subsets
 from .errors import InputError, TheoryFormatError
 from .formulas import Atom, Formula, Implies, Not, conj, DEFAULT_ATOM_CAP
@@ -166,7 +166,7 @@ def atms_labels(
 ) -> FrozenSet[FrozenSet[str]]:
     """Minimal supporting environments for a node, as assumption sets."""
     if node not in problem.nodes:
-        raise ValueError(f"unknown node {node!r}")
+        raise InputError(f"unknown node {node!r}")
     return _assumption_sweep(problem, Atom(node), budget, max_atoms)
 
 
@@ -195,10 +195,7 @@ def parse_atms(text: str) -> AtmsProblem:
     justifications: List[Justification] = []
     # atom -> the line that last declares it; justification -> its first line
     line_of: Dict["str | Justification", int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in files.statement_lines(text):
         if not line.endswith("."):
             raise TheoryFormatError("statement must end with '.'", lineno)
         line = line[:-1].strip()

@@ -8,10 +8,13 @@ fails; a RecursionError still exits 3, as a guard, not a traceback.
 Output is deterministic byte for byte: collections are sorted before
 printing and nothing depends on hash order.
 
-The resource caps can be set per invocation with --max-atoms,
---max-extensions and --mus-budget, or process-wide with the
-environment variables INCONLOG_MAX_ATOMS, INCONLOG_MAX_EXTENSIONS and
-INCONLOG_MUS_BUDGET (flags win).
+Each command takes only the resource caps it reads: extensions,
+entails, models and conditional take --max-atoms and --max-extensions;
+af, argue and atms take --max-atoms and --mus-budget; check and revise
+take none.  A cap whose flag is not given comes from its environment
+variable (INCONLOG_MAX_ATOMS, INCONLOG_MAX_EXTENSIONS or
+INCONLOG_MUS_BUDGET), else from its default; a command never reads
+the variable of a cap it does not take.
 """
 
 from __future__ import annotations
@@ -19,45 +22,32 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import IO, List, Optional, Sequence
 
 from . import af as af_mod
 from . import arguments, bridges, extensions, files, formulas, semantics, theory
 from .errors import CapExceeded, InputError
 
-_ENV_PREFIX = "INCONLOG_"
+# each cap's default, by the name of its flag's Namespace attribute
+_CAP_DEFAULTS = {
+    "max_atoms": formulas.DEFAULT_ATOM_CAP,
+    "max_extensions": theory.DEFAULT_EXTENSION_CAP,
+    "mus_budget": arguments.DEFAULT_SUBSET_BUDGET,
+}
 
 
-@dataclass
-class Caps:
-    max_atoms: int = formulas.DEFAULT_ATOM_CAP
-    max_extensions: int = theory.DEFAULT_EXTENSION_CAP
-    mus_budget: int = arguments.DEFAULT_SUBSET_BUDGET
-
-
-def _env_default(name: str, fallback: int) -> int:
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise InputError(f"{_ENV_PREFIX}{name} must be an integer, got {raw!r}") from err
-
-
-def _caps(ns: argparse.Namespace) -> Caps:
-    return Caps(
-        max_atoms=ns.max_atoms
-        if ns.max_atoms is not None
-        else _env_default("MAX_ATOMS", formulas.DEFAULT_ATOM_CAP),
-        max_extensions=ns.max_extensions
-        if ns.max_extensions is not None
-        else _env_default("MAX_EXTENSIONS", theory.DEFAULT_EXTENSION_CAP),
-        mus_budget=ns.mus_budget
-        if ns.mus_budget is not None
-        else _env_default("MUS_BUDGET", arguments.DEFAULT_SUBSET_BUDGET),
-    )
+def _fill_caps(ns: argparse.Namespace) -> None:
+    """Fill each cap the command takes and was not given by its flag:
+    from its INCONLOG_* variable, else from its default."""
+    for name, default in _CAP_DEFAULTS.items():
+        if getattr(ns, name, default) is not None:
+            continue
+        var = "INCONLOG_" + name.upper()
+        raw = os.environ.get(var)
+        try:
+            setattr(ns, name, default if raw is None else int(raw))
+        except ValueError:
+            raise InputError(f"{var} must be an integer, got {raw!r}") from None
 
 
 def _load_valid(path: str) -> theory.ReliabilityTheory:
@@ -88,10 +78,9 @@ def _cmd_check(ns, out: IO[str]) -> int:
 
 
 def _cmd_extensions(ns, out: IO[str]) -> int:
-    caps = _caps(ns)
     t = _load_valid(ns.file)
     members = extensions.all_extensions(
-        t, extension_cap=caps.max_extensions, max_atoms=caps.max_atoms
+        t, extension_cap=ns.max_extensions, max_atoms=ns.max_atoms
     )
     for line in sorted(_format_id_set(m) for m in members):
         print(line, file=out)
@@ -100,22 +89,20 @@ def _cmd_extensions(ns, out: IO[str]) -> int:
 
 
 def _cmd_entails(ns, out: IO[str]) -> int:
-    caps = _caps(ns)
     t = _load_valid(ns.file)
     goal = formulas.parse_formula(ns.formula)
     ask = extensions.credulous_entails if ns.credulous else extensions.skeptical_entails
     answer = ask(
-        t, goal, extension_cap=caps.max_extensions, max_atoms=caps.max_atoms
+        t, goal, extension_cap=ns.max_extensions, max_atoms=ns.max_atoms
     )
     print("yes" if answer else "no", file=out)
     return 0 if answer else 1
 
 
 def _cmd_models(ns, out: IO[str]) -> int:
-    caps = _caps(ns)
     t = _load_valid(ns.file)
     models = semantics.preferred_models(
-        t, max_atoms=caps.max_atoms, extension_cap=caps.max_extensions
+        t, max_atoms=ns.max_atoms, extension_cap=ns.max_extensions
     )
     for line in sorted(_format_atom_set(m) for m in models):
         print(line, file=out)
@@ -123,12 +110,11 @@ def _cmd_models(ns, out: IO[str]) -> int:
 
 
 def _cmd_conditional(ns, out: IO[str]) -> int:
-    caps = _caps(ns)
     t = _load_valid(ns.file)
     alpha = formulas.parse_formula(ns.alpha)
     beta = formulas.parse_formula(ns.beta)
     answer = semantics.conditional(
-        t, alpha, beta, extension_cap=caps.max_extensions, max_atoms=caps.max_atoms
+        t, alpha, beta, extension_cap=ns.max_extensions, max_atoms=ns.max_atoms
     )
     print("yes" if answer else "no", file=out)
     return 0 if answer else 1
@@ -142,17 +128,16 @@ def _cmd_revise(ns, out: IO[str]) -> int:
 
 
 def _cmd_af(ns, out: IO[str]) -> int:
-    caps = _caps(ns)
     t = _load_valid(ns.file)
     if not ns.rule4:
         order = theory.first_linear_extension(t)
         framework = af_mod.linear_framework(
-            t, order, budget=caps.mus_budget, max_atoms=caps.max_atoms
+            t, order, budget=ns.mus_budget, max_atoms=ns.max_atoms
         )
         out.write(af_mod.render_af(framework))
         return 0
     framework = af_mod.partial_framework(
-        t, budget=caps.mus_budget, max_atoms=caps.max_atoms
+        t, budget=ns.mus_budget, max_atoms=ns.max_atoms
     )
     out.write(af_mod.render_af(framework))
     listed = []
@@ -174,7 +159,6 @@ def _cmd_af(ns, out: IO[str]) -> int:
 
 
 def _cmd_argue(ns, out: IO[str]) -> int:
-    caps = _caps(ns)
     t = _load_valid(ns.file)
     goal = formulas.parse_formula(ns.formula)
     trace: Optional[List[str]] = [] if ns.trace else None
@@ -182,17 +166,17 @@ def _cmd_argue(ns, out: IO[str]) -> int:
         t,
         theory.first_linear_extension(t),
         trace=trace,
-        budget=caps.mus_budget,
-        max_atoms=caps.max_atoms,
+        budget=ns.mus_budget,
+        max_atoms=ns.max_atoms,
     )
     if trace is not None:
         for line in trace:
             print(line, file=out)
-    if not arguments.belief_holds(t, state, goal, max_atoms=caps.max_atoms):
+    if not arguments.belief_holds(t, state, goal, max_atoms=ns.max_atoms):
         print("not believed", file=out)
         return 1
     found = arguments.supports(
-        t, state, goal, budget=caps.mus_budget, max_atoms=caps.max_atoms
+        t, state, goal, budget=ns.mus_budget, max_atoms=ns.max_atoms
     )
     for line in sorted(arguments.format_argument(a) for a in found):
         print(line, file=out)
@@ -200,20 +184,16 @@ def _cmd_argue(ns, out: IO[str]) -> int:
 
 
 def _cmd_atms(ns, out: IO[str]) -> int:
-    caps = _caps(ns)
     problem = bridges.parse_atms(files.read_text(ns.file))
     if ns.node is not None:
-        try:
-            labels = bridges.atms_labels(
-                problem, ns.node, budget=caps.mus_budget, max_atoms=caps.max_atoms
-            )
-        except ValueError as err:
-            raise InputError(str(err)) from err
+        labels = bridges.atms_labels(
+            problem, ns.node, budget=ns.mus_budget, max_atoms=ns.max_atoms
+        )
         for line in sorted(_format_atom_set(s) for s in labels):
             print(line, file=out)
         return 0
     nogoods = bridges.atms_nogoods(
-        problem, budget=caps.mus_budget, max_atoms=caps.max_atoms
+        problem, budget=ns.mus_budget, max_atoms=ns.max_atoms
     )
     for line in sorted(_format_atom_set(s) for s in nogoods):
         print(line, file=out)
@@ -221,10 +201,14 @@ def _cmd_atms(ns, out: IO[str]) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--max-atoms", type=int, default=None)
-    shared.add_argument("--max-extensions", type=int, default=None)
-    shared.add_argument("--mus-budget", type=int, default=None)
+    def caps(*names: str) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        for name in names:
+            parent.add_argument("--" + name.replace("_", "-"), type=int)
+        return parent
+
+    ordered = caps("max_atoms", "max_extensions")  # the extension search
+    subsets = caps("max_atoms", "mus_budget")  # the subset-lattice sweep
 
     parser = argparse.ArgumentParser(
         prog="inconlog",
@@ -232,46 +216,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("check", parents=[shared], help="validate a theory file")
+    p = commands.add_parser("check", help="validate a theory file")
     p.add_argument("file")
     p.set_defaults(handler=_cmd_check)
 
     p = commands.add_parser(
-        "extensions", parents=[shared], help="most reliable consistent premise sets"
+        "extensions", parents=[ordered], help="most reliable consistent premise sets"
     )
     p.add_argument("file")
     p.set_defaults(handler=_cmd_extensions)
 
     p = commands.add_parser(
-        "entails", parents=[shared], help="skeptical (default) or credulous entailment"
+        "entails", parents=[ordered], help="skeptical (default) or credulous entailment"
     )
     p.add_argument("file")
     p.add_argument("formula")
     p.add_argument("--credulous", action="store_true")
     p.set_defaults(handler=_cmd_entails)
 
-    p = commands.add_parser("models", parents=[shared], help="preferred models")
+    p = commands.add_parser("models", parents=[ordered], help="preferred models")
     p.add_argument("file")
     p.set_defaults(handler=_cmd_models)
 
     p = commands.add_parser(
-        "conditional", parents=[shared], help="does alpha reasonably imply beta"
+        "conditional", parents=[ordered], help="does alpha reasonably imply beta"
     )
     p.add_argument("file")
     p.add_argument("alpha")
     p.add_argument("beta")
     p.set_defaults(handler=_cmd_conditional)
 
-    p = commands.add_parser(
-        "revise", parents=[shared], help="add alpha as the most reliable premise"
-    )
+    p = commands.add_parser("revise", help="add alpha as the most reliable premise")
     p.add_argument("file")
     p.add_argument("alpha")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_revise)
 
     p = commands.add_parser(
-        "af", parents=[shared], help="argumentation framework export"
+        "af", parents=[subsets], help="argumentation framework export"
     )
     p.add_argument("file")
     p.add_argument("--rule4", action="store_true")
@@ -279,14 +261,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_af)
 
     p = commands.add_parser(
-        "argue", parents=[shared], help="minimal supporting arguments for a goal"
+        "argue", parents=[subsets], help="minimal supporting arguments for a goal"
     )
     p.add_argument("file")
     p.add_argument("formula")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(handler=_cmd_argue)
 
-    p = commands.add_parser("atms", parents=[shared], help="ATMS labels and nogoods")
+    p = commands.add_parser("atms", parents=[subsets], help="ATMS labels and nogoods")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--node")
@@ -309,12 +291,9 @@ def run(argv: Sequence[str], out: Optional[IO[str]] = None) -> int:
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
+        _fill_caps(ns)
         return ns.handler(ns, stream)
-    except InputError as err:
-        print(f"error: {err}", file=stream)
-        return 2
-    except OSError as err:
-        # a missing or unreadable input file
+    except (InputError, OSError) as err:  # OSError: a missing or unreadable file
         print(f"error: {err}", file=stream)
         return 2
     except CapExceeded as err:

@@ -40,9 +40,13 @@ wide it is.
 
 The extension cap bounds that work: states and model groups visited
 plus members built.  `extension_factors` returns R in this factored
-form; `semantics.preferred_models` reads the preferred models off it,
-and entailment builds only the blocks, and consults only the set-aside
-components, that share an atom with the goal.
+form; `semantics.preferred_models` reads the preferred models off it.
+Entailment runs steps 1-3 on the components that share an atom with
+the goal and on nothing else, the rule `arguments.minimal_subsets`
+applies too.  Every member of R is consistent, so a component apart
+from the goal is atom-disjoint from the goal and from the rest of the
+member: whichever of its extensions the member takes, the verdict is
+the same.  Those components are not searched, indexed or charged.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .formulas import (
     Formula,
     DEFAULT_ATOM_CAP,
     atom_links,
-    atoms_of,
     atoms_of_all,
     connected_parts,
     positions_of,
@@ -222,15 +225,25 @@ def _search(
     work: _Work,
     max_atoms: int,
     index: Optional[ConsistencyIndex] = None,
-) -> Tuple[List[FrozenSet[str]], List[List[FrozenSet[str]]]]:
-    # Steps 1-3 of the module docstring, on bitsets over premise positions.
+    goal: Optional[Formula] = None,
+) -> Tuple[List[FrozenSet[str]], List[List[FrozenSet[str]]], ConsistencyIndex]:
+    # Steps 1-3 of the module docstring, on bitsets over premise positions,
+    # for the atom-connected parts that share an atom with `goal`, if any.
     ensure_valid(theory)
     bits, ids = theory.order_bits, theory.ids
+    fs = [p.formula for p in theory.premises]
+    links = atom_links(fs if goal is None else fs + [goal])
+    parts = connected_parts((1 << len(ids)) - 1, links.__getitem__)
+    if goal is not None:
+        parts = [part for part in parts if part & links[-1]]
     if index is None:
-        index = ConsistencyIndex(theory.formulas_by_id(), max_atoms=max_atoms)
-    links = atom_links([p.formula for p in theory.premises])
+        index = ConsistencyIndex(
+            {ids[i]: fs[i] for i in positions_of(sum(parts))},
+            extra=() if goal is None else (goal,),
+            max_atoms=max_atoms,
+        )
     fixed, free = [], 0
-    for part in connected_parts((1 << len(ids)) - 1, links.__getitem__):
+    for part in parts:
         members = frozenset(ids[i] for i in positions_of(part))
         if index.consistent(members):
             fixed.append(members)
@@ -272,7 +285,7 @@ def _search(
             frozenset(ids[j] for i in positions_of(kept) for j in members[i])
             for kept in kept_sets
         ])
-    return fixed, per_block
+    return fixed, per_block, index
 
 
 def extension_factors(
@@ -288,7 +301,7 @@ def extension_factors(
     it saves building a second one.  Raises ExtensionCapExceeded when
     the search would take more than `extension_cap` steps.
     """
-    fixed, per_block = _search(theory, _Work(extension_cap), max_atoms, index)
+    fixed, per_block, _ = _search(theory, _Work(extension_cap), max_atoms, index)
     return frozenset().union(*fixed), per_block
 
 
@@ -304,7 +317,7 @@ def all_extensions(
     plus the members built would exceed `extension_cap`.
     """
     work = _Work(extension_cap)
-    parts, per_block = _search(theory, work, max_atoms)
+    parts, per_block, _ = _search(theory, work, max_atoms)
     work.charge(members=math.prod(len(options) for options in per_block))
     fixed = frozenset().union(*parts)
     return ExtensionSet(
@@ -313,25 +326,12 @@ def all_extensions(
 
 
 def _entails(theory, goal, extension_cap, max_atoms, verdict) -> bool:
-    # Set-aside components and blocks sharing no atom with the goal are
-    # consistent and atom-disjoint from it and from the rest of every
-    # member, so they cannot change a member's verdict: only the others
-    # are multiplied out and put to the oracle.
-    index = ConsistencyIndex(
-        theory.formulas_by_id(), extra=(goal,), max_atoms=max_atoms
-    )
     work = _Work(extension_cap)
-    fixed, per_block = _search(theory, work, max_atoms, index)
-    goal_atoms = atoms_of(goal)
-
-    def touches(ids) -> bool:
-        return bool(goal_atoms & atoms_of_all(index.formulas[pid] for pid in ids))
-
-    kept = frozenset().union(*(part for part in fixed if touches(part)))
-    relevant = [options for options in per_block if touches(set().union(*options))]
-    work.charge(members=math.prod(len(options) for options in relevant))
+    fixed, per_block, index = _search(theory, work, max_atoms, goal=goal)
+    work.charge(members=math.prod(len(options) for options in per_block))
+    kept = frozenset().union(*fixed)
     return verdict(
-        index.entails(kept.union(*choice), goal) for choice in product(*relevant)
+        index.entails(kept.union(*choice), goal) for choice in product(*per_block)
     )
 
 

@@ -4,33 +4,41 @@
     premise ID: FORMULA
     order ID1 < ID2
 
-Blank lines and '#' comments are skipped.  An order line says ID1 is
-less reliable than ID2.  Reading does not validate the theory (that is
-validate's job) beyond the line syntax itself; rendering writes the
-premises in declaration order and the order pairs sorted, and
-re-reading the result reproduces the theory exactly.
+Lines end at \n, \r\n or \r and nowhere else (not at the other breaks
+str.splitlines knows, such as \x1c or U+2028); blank lines and '#'
+comments are skipped, here and in the ATMS format.  An order line says
+ID1 is less reliable than ID2.  Reading does not validate the theory
+(that is validate's job) beyond the line syntax itself; rendering
+writes the premises in declaration order and the order pairs sorted,
+and re-reading the result reproduces the theory exactly.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from . import formulas
 from .errors import FormulaSyntaxError, InputError, TheoryFormatError
 from .theory import Premise, ReliabilityTheory
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_LINE_END = re.compile(r"\r\n|\r|\n")
+
+
+def statement_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """(line number, stripped line) for each line neither blank nor a comment."""
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def parse_theory(text: str) -> ReliabilityTheory:
     premises: List[Premise] = []
     pairs: List[Tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in statement_lines(text):
         keyword, _, rest = line.partition(" ")
         if keyword == "premise":
             name, colon, body = rest.partition(":")
@@ -76,8 +84,7 @@ def read_text(path: "str | Path") -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
-        # numbered as the readers number lines, by str.splitlines
-        line = len((data[:err.start].decode("utf-8") + "?").splitlines())
+        line = len(_LINE_END.split(data[:err.start].decode("utf-8")))
         bad = f"not valid UTF-8 (byte 0x{data[err.start]:02x})"
         raise InputError(f"{path}, line {line}: {bad}") from None
 

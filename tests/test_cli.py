@@ -1,7 +1,10 @@
+import io
 import os
+import random
 import shutil
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -9,8 +12,10 @@ import pytest
 import inconlog
 from inconlog import cli
 from inconlog.files import load_theory, render_theory
+from inconlog.formulas import format_formula
 
 from conftest import fixture_path, invoke
+from util import random_formula
 
 
 class TestCheck:
@@ -24,6 +29,11 @@ class TestCheck:
         code, text = invoke("check", str(bad))
         assert code == 2
         assert text == "cycle: a < b < a\n"
+
+    def test_duplicate_id(self, tmp_path):
+        bad = tmp_path / "dup.rt"
+        bad.write_text("premise p: a\npremise p: !a\n")
+        assert invoke("check", str(bad)) == (2, "duplicate id: p\n")
 
     def test_unsatisfiable_premise_warns_but_passes(self, tmp_path):
         f = tmp_path / "warn.rt"
@@ -68,6 +78,32 @@ class TestEntails:
         assert invoke("entails", str(path), "z") == (0, "yes\n")
         assert invoke("entails", str(path), "x3") == (1, "no\n")
         assert invoke("entails", str(path), "x3", "--credulous") == (0, "yes\n")
+
+    def test_a_block_apart_from_the_goal_is_not_searched(self, tmp_path):
+        # a clash on x beside 26 unordered two-literal conjunctions over
+        # y0..y23, a block that alone passes the default extension cap
+        rng = random.Random(5)
+        ys = [f"y{i}" for i in range(24)]
+        lines = ["premise a: x", "premise na: !x"]
+        for i in range(26):
+            u, v = rng.sample(ys, 2)
+            left, right = ("!" + y if rng.random() < 0.5 else y for y in (u, v))
+            lines.append(f"premise w_{i}: {left} & {right}")
+        path = tmp_path / "probe.rt"
+        path.write_text("\n".join(lines) + "\n")
+        for argv, expected in [
+            (("entails", "x"), (1, "no\n")),
+            (("entails", "x", "--credulous"), (0, "yes\n")),
+            (("conditional", "x", "x"), (0, "yes\n")),
+        ]:
+            start = time.perf_counter()
+            got = invoke(argv[0], str(path), *argv[1:])
+            assert time.perf_counter() - start < 0.1, argv
+            assert got == expected, argv
+        assert invoke("extensions", str(path)) == (3, (
+            "error: extension search: over the limit of 100000 states and members "
+            "(100001 states visited, 1 of 2 blocks finished)\n"
+        ))
 
 
 class TestDeepFormulas:
@@ -269,6 +305,24 @@ class TestFailureModes:
         assert code == 2
         assert text.startswith(f"error: line {line}: ")
 
+    def test_bad_atom_in_a_justification(self, tmp_path):
+        path = tmp_path / "bad.atms"
+        path.write_text("assume a.\nnode n.\njust a, b-c -> n.\n")
+        code, text = invoke("atms", str(path), "--nogoods")
+        assert (code, text) == (2, "error: line 3: bad atom name 'b-c'\n")
+
+    @pytest.mark.parametrize("command, content", [
+        (["check"], "premise p: a\x1cpremise q: b\n"),
+        (["atms", "--nogoods"], "assume a.\x85node n.\n"),
+    ], ids=["theory", "atms"])
+    def test_lines_end_only_at_newline_or_carriage_return(self, tmp_path, command, content):
+        # str.splitlines would read two statements off line 1
+        path = tmp_path / "input"
+        path.write_text(content, encoding="utf-8")
+        code, text = invoke(command[0], str(path), *command[1:])
+        assert code == 2
+        assert text.startswith("error: line 1: ")
+
     def test_bad_formula(self):
         code, text = invoke("entails", fixture_path("example1.rt"), "a ->")
         assert code == 2
@@ -388,6 +442,47 @@ class TestEnvironmentCaps:
         assert code == 2
         assert "INCONLOG_MUS_BUDGET" in text
 
+    @pytest.mark.parametrize("argv, variable", [
+        (["extensions", "example3.rt"], "INCONLOG_MUS_BUDGET"),
+        (["af", "example3.rt"], "INCONLOG_MAX_EXTENSIONS"),
+        (["check", "example1.rt"], "INCONLOG_MAX_ATOMS"),
+    ])
+    def test_the_variable_of_a_cap_the_command_does_not_take_is_not_read(
+        self, monkeypatch, argv, variable
+    ):
+        monkeypatch.setenv(variable, "many")
+        assert invoke(argv[0], fixture_path(argv[1]), *argv[2:])[0] == 0
+
+
+class TestCapsPerCommand:
+    # extensions, entails, models and conditional take --max-atoms and
+    # --max-extensions; af, argue and atms --max-atoms and --mus-budget;
+    # check and revise none
+    @pytest.mark.parametrize("argv", [
+        ["check", "example1.rt", "--max-atoms", "0"],
+        ["revise", "example1.rt", "q", "--mus-budget", "1"],
+        ["argue", "example1.rt", "psi", "--max-extensions", "1"],
+        ["extensions", "example1.rt", "--mus-budget", "0"],
+        ["atms", "chain.atms", "--nogoods", "--max-extensions", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_a_flag_the_command_never_reads_is_a_usage_error(self, tmp_path, argv):
+        target = tmp_path / "revised.rt"
+        command, name, *rest = argv
+        if command == "revise":
+            rest += ["-o", str(target)]
+        assert invoke(command, fixture_path(name), *rest) == (2, "")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["models", "example1.rt"], "--max-atoms"),
+        (["conditional", "example3.rt", "a", "b"], "--max-extensions"),
+        (["af", "example1.rt"], "--mus-budget"),
+        (["atms", "chain.atms", "--node", "n"], "--mus-budget"),
+    ], ids=lambda item: item if isinstance(item, str) else item[0])
+    def test_a_flag_the_command_reads_is_applied(self, argv, flag):
+        command, name, *rest = argv
+        assert invoke(command, fixture_path(name), *rest, flag, "0")[0] == 3
+
 
 class TestParserReuse:
     """One argparse parser serves every cli.run call in a process."""
@@ -450,7 +545,49 @@ class TestParserReuse:
         assert len(built) <= 1
 
 
+# Every fixture through the commands that print collections, one line
+# per command, then its output; run under two hash seeds and compared.
+EVERY_FIXTURE_COMMAND = textwrap.dedent("""
+    import importlib.resources, io
+    from inconlog import files, formulas
+    from inconlog.cli import run
+
+    root = importlib.resources.files("inconlog") / "fixtures"
+    for entry in sorted(root.iterdir(), key=lambda entry: entry.name):
+        path = str(entry)
+        if entry.name.endswith(".atms"):
+            runs = [["atms", path, "--nogoods"]]
+        else:
+            by_id = files.load_theory(path).formulas_by_id()
+            runs = [["extensions", path], ["models", path],
+                    ["af", path, "--rule4", "--show-ignored"]]
+            for atom in sorted(formulas.atoms_of_all(by_id.values())):
+                runs += [["entails", path, atom], ["argue", path, atom, "--trace"]]
+        for argv in runs:
+            out = io.StringIO()
+            code = run(argv, out=out)
+            print(argv[0], entry.name, *argv[2:], "->", code)
+            print(out.getvalue(), end="")
+""")
+
+
 class TestDeterminism:
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        src = os.path.dirname(os.path.dirname(inconlog.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", EVERY_FIXTURE_COMMAND],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(" -> ") > 100
+
     def test_repeated_runs_are_byte_identical(self):
         first = invoke("af", fixture_path("example3.rt"), "--rule4")
         second = invoke("af", fixture_path("example3.rt"), "--rule4")
@@ -483,3 +620,78 @@ class TestDeterminism:
         code, text = invoke(*argv)
         assert proc.returncode == code
         assert proc.stdout == text
+
+
+class TestRobustness:
+    """Random small inputs: every run ends in an exit code, never a traceback."""
+
+    ATOMS = ["a", "b", "c"]
+    NOISE = ["\r", "\t", "\x00", "\u00e9", "#", ":", "<", ".", ",", "->", " ", "premise"]
+
+    def formula(self, rng):
+        if rng.random() < 0.9:
+            return format_formula(random_formula(rng, self.ATOMS, 2))
+        words = self.ATOMS + self.NOISE + ["!", "&", "|", "(", ")"]
+        return " ".join(rng.choice(words) for _ in range(rng.randint(0, 5)))
+
+    def rt_lines(self, rng):
+        n = rng.randint(0, 5)
+        lines = [f"premise p{i}: {self.formula(rng)}" for i in range(n)]
+        lines += [f"order p{j} < p{i}" for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.3]
+        return lines
+
+    def atms_lines(self, rng):
+        lines = ["assume a.", "assume b.", "node c."]
+        for _ in range(rng.randint(0, 3)):
+            body = ", ".join(rng.sample(self.ATOMS, rng.randint(0, 2)))
+            lines.append(f"{rng.choice(['just', 'deny'])} {body} -> c.")
+        return lines
+
+    def text(self, rng, lines):
+        # shuffled, and about half the texts damaged in one place
+        rng.shuffle(lines)
+        if rng.random() < 0.5:
+            damage, k = rng.choice(self.NOISE + self.ATOMS), rng.randint(0, len(lines))
+            if k == len(lines):
+                lines.append(damage)
+            else:
+                at = rng.randint(0, len(lines[k]))
+                lines[k] = lines[k][:at] + damage + lines[k][at:]
+        return "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in lines)
+
+    def test_no_input_raises(self, tmp_path):
+        rng = random.Random(1915)
+        path, target = tmp_path / "input", tmp_path / "revised.rt"
+        ordered = ["--max-atoms", "--max-extensions"]
+        subsets = ["--max-atoms", "--mus-budget"]
+        for _ in range(2000):
+            goal, alpha = self.formula(rng), self.formula(rng)
+            commands = [
+                (["check"], []),
+                (["extensions"], ordered),
+                (["entails", goal], ordered),
+                (["entails", goal, "--credulous"], ordered),
+                (["models"], ordered),
+                (["conditional", alpha, goal], ordered),
+                (["revise", alpha, "-o", str(target)], []),
+                (["af"], subsets),
+                (["af", "--rule4", "--show-ignored"], subsets),
+                (["argue", goal], subsets),
+                (["argue", goal, "--trace"], subsets),
+                (["atms", "--nogoods"], subsets),
+                (["atms", "--node", rng.choice(["a", "c", "c"])], subsets),
+            ]
+            words, caps = rng.choice(commands)
+            lines = self.atms_lines(rng) if words[0] == "atms" else self.rt_lines(rng)
+            text = self.text(rng, lines)
+            path.write_text(text, encoding="utf-8")
+            argv = [words[0], str(path), *words[1:]]
+            for flag in caps:
+                if rng.random() < 0.5:
+                    argv += [flag, str(rng.choice([0, 1, 3, 50]))]
+            try:
+                code = cli.run(argv, out=io.StringIO())
+            except Exception as err:  # the failing input, not only the traceback
+                pytest.fail(f"{argv} on {text!r} raised {err!r}")
+            assert code in (0, 1, 2, 3), (argv, text)

@@ -24,6 +24,7 @@ from util import (
     oracle_greedy,
     oracle_preferred,
     random_formula,
+    random_order_pairs,
     random_theory,
     shaped_order_pairs,
 )
@@ -351,13 +352,43 @@ class TestEntailment:
                 assert skeptical_entails(t, goal, max_atoms=max_atoms) == all(verdicts)
                 assert credulous_entails(t, goal, max_atoms=max_atoms) == any(verdicts)
 
+    def test_goals_over_some_of_several_disjoint_clusters(self):
+        # 2-4 atom-disjoint clusters, ordered across clusters too; each
+        # goal reads the atoms of no, one or two clusters, plus at times
+        # a fresh atom: only the clusters it touches are searched
+        rng = random.Random(1507)
+        for _ in range(150):
+            clusters = [[f"c{c}a", f"c{c}b"] for c in range(rng.randint(2, 4))]
+            premises = [
+                Premise(f"p{c}{i}", random_formula(rng, atoms, rng.randint(0, 2)))
+                for c, atoms in enumerate(clusters)
+                for i in range(rng.randint(1, 2))
+            ][:6]
+            ids = [p.id for p in premises]
+            pairs = random_order_pairs(rng, ids, rng.choice([0.0, 0.2, 0.5]))
+            t = ReliabilityTheory(tuple(premises), frozenset(pairs))
+            touched = rng.sample(clusters, rng.randint(0, 2))
+            atoms = [atom for cluster in touched for atom in cluster]
+            if not atoms or rng.random() < 0.3:
+                atoms.append("z")
+            goal = random_formula(rng, atoms, 2)
+            by_id = t.formulas_by_id()
+            verdicts = [
+                formulas.entails([by_id[pid] for pid in member], goal)
+                for member in oracle_extensions(t)
+            ]
+            for max_atoms in (20, 0):
+                assert skeptical_entails(t, goal, max_atoms=max_atoms) == all(verdicts)
+                assert credulous_entails(t, goal, max_atoms=max_atoms) == any(verdicts)
+
     def test_only_blocks_sharing_an_atom_with_the_goal_are_charged(self):
-        # two unordered clashes: 5 states each, then 2 members for x alone
+        # two unordered clashes of 5 states each: x searches its own
+        # block alone, 5 states and then 2 members; x & y searches both
         t = theory_of({"a": "x", "na": "!x", "b": "y", "nb": "!y"})
-        assert not skeptical_entails(t, parse_formula("x"), extension_cap=12)
-        assert credulous_entails(t, parse_formula("x"), extension_cap=12)
+        assert not skeptical_entails(t, parse_formula("x"), extension_cap=7)
+        assert credulous_entails(t, parse_formula("x"), extension_cap=7)
         with pytest.raises(ExtensionCapExceeded, match="2 members to build"):
-            skeptical_entails(t, parse_formula("x"), extension_cap=11)
+            skeptical_entails(t, parse_formula("x"), extension_cap=6)
         with pytest.raises(ExtensionCapExceeded, match="4 members to build"):
             skeptical_entails(t, parse_formula("x & y"), extension_cap=13)
 
