@@ -128,9 +128,7 @@ def stable_extensions(
     the conflict checks applied as soon as both ends are decided.
     """
     if len(af.arguments) > budget:
-        raise SearchBudgetExceeded(
-            f"{len(af.arguments)} arguments exceed the search budget of {budget}"
-        )
+        raise SearchBudgetExceeded(budget, len(af.arguments))
     unders = [a for a in af.arguments if isinstance(a, UnderminingArgument)]
     passive = [a for a in af.arguments if not isinstance(a, UnderminingArgument)]
     hits: Dict[AfArgument, Set[AfArgument]] = {a: set() for a in af.arguments}

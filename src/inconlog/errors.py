@@ -39,11 +39,34 @@ class CapExceeded(RuntimeError):
 
 
 class AtomCapExceeded(CapExceeded):
-    """Too many atoms for exhaustive interpretation enumeration."""
+    """Too many atoms for exhaustive interpretation enumeration.
+
+    `layer` is "exhaustive-valuation" or "preferred-model", `limit` the
+    atom cap and `atoms` the number of atoms asked for.
+    """
+
+    def __init__(self, layer: str, limit: int, atoms: int):
+        super().__init__(f"{atoms} atoms exceed the {layer} cap of {limit}")
+        self.layer, self.limit, self.atoms = layer, limit, atoms
 
 
 class ExtensionCapExceeded(CapExceeded):
-    """The extension search would exceed its limit of states plus members."""
+    """The extension search would exceed its limit of states plus members.
+
+    `layer` is "extension search", `limit` the cap, `states` the states
+    and model groups visited, `finished` of `blocks` the blocks searched
+    to the end, and `members` the members of R about to be built (0
+    while blocks are searched).
+    """
+
+    def __init__(self, limit: int, states: int, finished: int, blocks: int, members: int = 0):
+        building = f", {members} members to build" if members else ""
+        super().__init__(
+            f"extension search: over the limit of {limit} states and members "
+            f"({states} states visited, {finished} of {blocks} blocks finished{building})"
+        )
+        self.layer, self.limit = "extension search", limit
+        self.states, self.finished, self.blocks, self.members = states, finished, blocks, members
 
 
 class SubsetBudgetExceeded(CapExceeded):
@@ -65,4 +88,12 @@ class SubsetBudgetExceeded(CapExceeded):
 
 
 class SearchBudgetExceeded(CapExceeded):
-    """Too many arguments for the stable-extension search."""
+    """Too many arguments for the stable-extension search.
+
+    `layer` is "stable-extension search", `limit` the budget and
+    `arguments` the number of arguments in the framework.
+    """
+
+    def __init__(self, limit: int, arguments: int):
+        super().__init__(f"{arguments} arguments exceed the search budget of {limit}")
+        self.layer, self.limit, self.arguments = "stable-extension search", limit, arguments

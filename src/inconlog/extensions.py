@@ -113,12 +113,7 @@ class _Work:
     def charge(self, states: int = 0, members: int = 0) -> None:
         self.states += states
         if self.states + members > self.cap:
-            building = f", {members} members to build" if members else ""
-            raise ExtensionCapExceeded(
-                f"extension search: over the limit of {self.cap} states and "
-                f"members ({self.states} states visited, {self.finished} of "
-                f"{self.blocks} blocks finished{building})"
-            )
+            raise ExtensionCapExceeded(self.cap, self.states, self.finished, self.blocks, members)
 
 
 def _state_budget(units: int, atoms: int, max_atoms: int) -> Optional[int]:
@@ -244,9 +239,10 @@ def _search(
         )
     fixed, free = [], 0
     for part in parts:
-        members = frozenset(ids[i] for i in positions_of(part))
+        # premise-position order, so the solver's work is the same under any hash seed
+        members = [ids[i] for i in positions_of(part)]
         if index.consistent(members):
-            fixed.append(members)
+            fixed.append(frozenset(members))
         else:
             free |= part
     top, rest = 0, free
@@ -330,8 +326,10 @@ def _entails(theory, goal, extension_cap, max_atoms, verdict) -> bool:
     fixed, per_block, index = _search(theory, work, max_atoms, goal=goal)
     work.charge(members=math.prod(len(options) for options in per_block))
     kept = frozenset().union(*fixed)
+    position = theory.order_bits.position
     return verdict(
-        index.entails(kept.union(*choice), goal) for choice in product(*per_block)
+        index.entails(sorted(kept.union(*choice), key=position.__getitem__), goal)
+        for choice in product(*per_block)
     )
 
 

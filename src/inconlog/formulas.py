@@ -15,11 +15,14 @@ or "~" (tightest), then "&", then "|", then "->" (loosest,
 right-associative; "&" and "|" associate to the left).  Whitespace is
 insignificant.
 
-Nothing here recurses on a formula, so nesting depth is bounded by
-memory alone: the parser is one loop over the tokens with an operand
-and an operator stack, the printer, equality and hashing keep explicit
-stacks, and atoms, truth values, model masks and clause variables are
-all read off one post-order walk, `_postorder`.
+A formula is flat code: one tuple of atom names, "!" and "->" in
+postfix order, so `!a -> b` is ("a", "!", "b", "->").  Nothing here
+recurses on a formula, so nesting depth is bounded by memory alone:
+the parser is one loop over the tokens that emits the code as it
+goes, equality is a tuple compare, the atom set is a set difference,
+and truth values, model masks and clause variables are each one loop
+over the code with a value stack.  Only printing and `repr` rebuild a
+tree, of tuples, in one such loop.
 
 Satisfiability and entailment are decided by `ConsistencyIndex`, the
 one oracle that picks a backend and owns the model masks.  Up to the
@@ -42,79 +45,65 @@ import functools
 import operator
 import re
 import zlib
-from dataclasses import dataclass
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from .errors import AtomCapExceeded, FormulaSyntaxError
 
 DEFAULT_ATOM_CAP = 20
 
+_OPERATORS = frozenset(("!", "->"))
 
-class _Node:
-    """Structural equality, hashing and `repr` for the three node types,
-    by explicit stacks, so all work at any depth.  The hash, and the
-    atom set that `atoms_of` reads, are computed on first use and kept
-    on the node: nothing outlives the formula.  Pickling goes through
-    the printed text, and copies are the node itself, since nodes are
-    frozen."""
 
-    _hash: Optional[int] = None
-    _atoms: Optional[FrozenSet[str]] = None
+class Formula:
+    """A formula as its postfix `code`: atom names, "!" and "->".
+
+    Build one with `parse_formula` or with `Atom`, `Not`, `Implies`,
+    `conj` and `disj`, and treat it as immutable.  Equal formulas have
+    equal code.  The hash (a crc32 of the code, so the same in every
+    process) and the atom set that `atoms_of` reads are computed on
+    first use and kept on the formula: nothing outlives it.  Pickling
+    keeps the code, and copies are the formula itself.
+    """
+
+    __slots__ = ("code", "_hash", "_atoms", "__weakref__")
+
+    def __init__(self, code: Tuple[str, ...]):
+        self.code = code
+        self._hash: Optional[int] = None
+        self._atoms: Optional[FrozenSet[str]] = None
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Node):
+        if type(other) is not Formula:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            kind = type(a)
-            if a is b:
-                continue
-            if kind is not type(b):
-                return False
-            if kind is Not:
-                pairs.append((a.child, b.child))
-            elif kind is Implies:
-                pairs += ((a.left, b.left), (a.right, b.right))
-            elif kind is not Atom or a.name != b.name:
-                return False
-        return True
+        return self.code == other.code
 
     def __hash__(self) -> int:
         if self._hash is None:
-            for f in _postorder(self):
-                kind = type(f)
-                # crc32: unlike str hashes it holds in any process
-                key = (zlib.crc32(f.name.encode()) if kind is Atom else (f.child._hash,)
-                       if kind is Not else (f.left._hash, f.right._hash))
-                object.__setattr__(f, "_hash", hash(key))
+            self._hash = zlib.crc32(" ".join(self.code).encode())
         return self._hash
 
     def __repr__(self) -> str:
-        # the text of the dataclass-generated repr
+        # dataclass-style text: Implies(left=Atom(name='a'), right=...)
         pieces: List[str] = []
-        stack: List[object] = [self]
+        stack: List[object] = [_tree(self.code)]
         while stack:
-            f = stack.pop()
-            kind = type(f)
-            if kind is str:
-                pieces.append(f)
-            elif kind is Atom:
-                pieces.append(f"Atom(name={f.name!r})")
-            elif kind is Not:
+            node = stack.pop()
+            if type(node) is str:
+                pieces.append(node)
+            elif len(node) == 1:
+                pieces.append(f"Atom(name={node[0]!r})")
+            elif len(node) == 2:
                 pieces.append("Not(child=")
-                stack += (")", f.child)
-            elif kind is Implies:
-                pieces.append("Implies(left=")
-                stack += (")", f.right, ", right=", f.left)
+                stack += (")", node[1])
             else:
-                pieces.append(repr(f))
+                pieces.append("Implies(left=")
+                stack += (")", node[2], ", right=", node[1])
         return "".join(pieces)
 
     def __reduce__(self):
-        return parse_formula, (format_formula(self, sugar=False),)
+        return Formula, (self.code,)
 
     def __copy__(self):
         return self
@@ -123,70 +112,54 @@ class _Node:
         return self
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Atom(_Node):
-    name: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Not(_Node):
-    child: "Formula"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
-
-
-Formula = Union[Atom, Not, Implies]
-
 # An interpretation is simply the set of atoms it makes true.
 Interpretation = FrozenSet[str]
+
+# The code each binary connective appends after its two operands' code;
+# "|" also puts "!" between them.
+_FOLD = {"&": ("!", "->", "!"), "|": ("->",), "->": ("->",)}
+
+
+def Atom(name: str) -> Formula:
+    return Formula((name,))
+
+
+def Not(child: Formula) -> Formula:
+    return Formula(child.code + ("!",))
+
+
+def Implies(left: Formula, right: Formula) -> Formula:
+    return Formula(left.code + right.code + ("->",))
 
 
 def conj(left: Formula, right: Formula) -> Formula:
     """a & b, rewritten to !(a -> !b)."""
-    return Not(Implies(left, Not(right)))
+    return Formula(left.code + right.code + _FOLD["&"])
 
 
 def disj(left: Formula, right: Formula) -> Formula:
     """a | b, rewritten to !a -> b."""
-    return Implies(Not(left), right)
+    return Formula(left.code + ("!",) + right.code + ("->",))
 
 
-def _postorder(formula: Formula) -> List[Formula]:
-    """Each distinct node object of `formula` once, children before
-    their parent (right subtrees first), by an explicit stack."""
-    if type(formula) is Atom:  # the commonest walk: an atom premise or goal
-        return [formula]
-    done: Dict[int, Formula] = {}  # id -> node, in the order finished
-    stack: List[Optional[Formula]] = [formula]
-    while stack:
-        f = stack.pop()
-        if f is None:  # the node below has all its children done
-            f = stack.pop()
-            done[id(f)] = f
-            continue
-        kind = type(f)
-        if kind is Atom:  # a second visit keeps the first's place
-            done[id(f)] = f
-        elif id(f) in done:
-            continue
-        elif kind is Not:
-            stack += (f, None, f.child)
-        elif kind is Implies:
-            stack += (f, None, f.left, f.right)
+def _tree(code: Tuple[str, ...]) -> tuple:
+    """The code as nested tuples: (name,), ("!", child) or ("->", left, right)."""
+    stack: List[tuple] = []
+    for token in code:
+        if token == "!":
+            stack[-1] = ("!", stack[-1])
+        elif token == "->":
+            right = stack.pop()
+            stack[-1] = ("->", stack[-1], right)
         else:
-            raise TypeError(f"not a formula: {f!r}")
-    return list(done.values())
+            stack.append((token,))
+    return stack[0]
 
 
 def atoms_of(formula: Formula) -> FrozenSet[str]:
-    atoms = getattr(formula, "_atoms", None)
+    atoms = formula._atoms
     if atoms is None:
-        atoms = frozenset([f.name for f in _postorder(formula) if type(f) is Atom])
-        object.__setattr__(formula, "_atoms", atoms)
+        atoms = formula._atoms = frozenset(formula.code) - _OPERATORS
     return atoms
 
 
@@ -200,17 +173,16 @@ def atoms_of_all(formulas: Iterable[Formula]) -> FrozenSet[str]:
 def _models(formula: Formula, full: int, atom: Callable[[str], int]) -> int:
     """The models of `formula` as a bitmask: `full` has a bit for every
     valuation and `atom(name)` the bits of those that make the atom true."""
-    masks: Dict[int, int] = {}
-    for f in _postorder(formula):
-        kind = type(f)
-        if kind is Atom:
-            mask = atom(f.name)
-        elif kind is Not:
-            mask = full ^ masks[id(f.child)]
+    stack: List[int] = []
+    for token in formula.code:
+        if token == "!":
+            stack[-1] ^= full
+        elif token == "->":
+            right = stack.pop()
+            stack[-1] = full ^ stack[-1] | right
         else:
-            mask = full ^ masks[id(f.left)] | masks[id(f.right)]
-        masks[id(f)] = mask
-    return mask
+            stack.append(atom(token))
+    return stack[0]
 
 
 def evaluate(formula: Formula, interpretation: Interpretation) -> bool:
@@ -270,7 +242,6 @@ _CONNECTIVES = {
     "|": (" | ", 2, 0, 1),
     "->": (" -> ", 1, 1, 0),
 }
-_BUILD = {"&": conj, "|": disj, "->": Implies}
 
 _TOKEN_RE = re.compile(r"->|[A-Za-z_][A-Za-z0-9_]*|[!~&|()]")
 # Matches up to the first character that starts no token.
@@ -283,13 +254,14 @@ def parse_formula(text: str) -> Formula:
     One loop over the tokens (Dijkstra's shunting yard) that alternates
     between wanting an operand (an atom, "!"/"~" or "(") and wanting what
     follows one (a connective, ")" or the end); the first token that fits
-    neither raises.
+    neither raises.  Each operand and each folded connective appends its
+    code at once, so the code comes out in postfix order.
     """
     bad = _TOKENS_RE.match(text).end()
     if bad < len(text):
         raise FormulaSyntaxError(f"unexpected character {text[bad]!r}", bad)
     tokens = _TOKEN_RE.findall(text) + [""]  # "" is the end
-    operands: List[Formula] = []
+    code: List[str] = []
     pending: List[str] = []  # "(", negations and binary connectives, innermost last
     brackets = 0
     want_operand = True
@@ -302,45 +274,32 @@ def parse_formula(text: str) -> Formula:
             if not token or token in _CONNECTIVES or token == ")":
                 message = "expected a formula"
                 break
-            operands.append(Atom(token))
+            code.append(token)
         else:
-            binary = token in _BUILD
+            binary = token in _FOLD
             if not (binary or token == ")" and brackets or not token and not brackets):
                 message = "expected ')'" if brackets else f"unexpected {token!r}"
                 break
             # fold the pending connectives tight enough to sit below `token`
             floor = _CONNECTIVES[token][1] + _CONNECTIVES[token][2] if binary else 1
-            while pending and pending[-1] in _BUILD and _CONNECTIVES[pending[-1]][1] >= floor:
-                right = operands.pop()
-                operands[-1] = _BUILD[pending.pop()](operands[-1], right)
+            while pending and pending[-1] in _FOLD and _CONNECTIVES[pending[-1]][1] >= floor:
+                code += _FOLD[pending.pop()]
             if binary:
                 pending.append(token)
+                if token == "|":  # its left operand is complete
+                    code.append("!")
             elif not token:
-                return operands[0]
+                return Formula(tuple(code))
             else:
                 pending.pop()  # the matching "("
                 brackets -= 1
         while pending and pending[-1] in ("!", "~"):  # negations waiting for an operand
             pending.pop()
-            operands[-1] = Not(operands[-1])
-        want_operand = token in _BUILD
+            code.append("!")
+        want_operand = token in _FOLD
     # token k fits nowhere: the end of the text if it is the last
     starts = [m.start() for m in _TOKEN_RE.finditer(text)]
     raise FormulaSyntaxError(message, (starts + [len(text)])[k])
-
-
-def _classify(formula: Formula, sugar: bool):
-    if isinstance(formula, Atom):
-        return ("atom", formula.name)
-    if sugar and isinstance(formula, Not):
-        inner = formula.child
-        if isinstance(inner, Implies) and isinstance(inner.right, Not):
-            return ("&", inner.left, inner.right.child)
-    if sugar and isinstance(formula, Implies) and isinstance(formula.left, Not):
-        return ("|", formula.left.child, formula.right)
-    if isinstance(formula, Not):
-        return ("!", formula.child)
-    return ("->", formula.left, formula.right)
 
 
 def format_formula(formula: Formula, sugar: bool = True) -> str:
@@ -348,32 +307,35 @@ def format_formula(formula: Formula, sugar: bool = True) -> str:
 
     With sugar enabled the conjunction/disjunction rewrites are folded
     back for readability; either way the output reparses to the same
-    tree.
+    code.
     """
 
-    # An explicit stack of pending text and (subformula, minimum
+    # An explicit stack of pending text and (tree node, minimum
     # precedence) pairs, so output depth is not bounded by recursion.
     pieces: List[str] = []
-    stack: List[Union[str, Tuple[Formula, int]]] = [(formula, 0)]
+    stack: List[object] = [(_tree(formula.code), 0)]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             pieces.append(item)
             continue
-        f, minimum = item
-        node = _classify(f, sugar)
-        if node[0] == "atom":
-            pieces.append(node[1])
+        (op, *operands), minimum = item
+        if not operands:
+            pieces.append(op)
             continue
-        text, prec, left_up, right_up = _CONNECTIVES[node[0]]
+        if sugar and op == "!" and operands[0][0] == "->" and operands[0][2][0] == "!":
+            op, operands = "&", (operands[0][1], operands[0][2][1])  # !(l -> !r)
+        elif sugar and op == "->" and operands[0][0] == "!":
+            op, operands = "|", (operands[0][1], operands[1])  # !l -> r
+        text, prec, left_up, right_up = _CONNECTIVES[op]
         if prec < minimum:
             pieces.append("(")
             stack.append(")")
-        if node[0] == "!":
+        if op == "!":
             pieces.append(text)
-            stack.append((node[1], prec))
+            stack.append((operands[0], prec))
         else:
-            stack += ((node[2], prec + right_up), text, (node[1], prec + left_up))
+            stack += ((operands[1], prec + right_up), text, (operands[0], prec + left_up))
     return "".join(pieces)
 
 
@@ -391,9 +353,7 @@ def all_interpretations(
     """
     ordered = sorted(set(atoms))
     if len(ordered) > cap:
-        raise AtomCapExceeded(
-            f"{len(ordered)} atoms exceed the exhaustive-valuation cap of {cap}"
-        )
+        raise AtomCapExceeded("exhaustive-valuation", cap, len(ordered))
     out = []
     for k in range(1 << len(ordered)):
         out.append(frozenset(a for i, a in enumerate(ordered) if k >> i & 1))
@@ -470,20 +430,19 @@ class _Solver:
 
     def root(self, formula: Formula) -> int:
         """The variable of `formula`, translated on first sight."""
-        var: Dict[int, int] = {}  # id of a subformula of `formula` -> its variable
+        stack: List[int] = []  # the variables of the finished subformulas
         atoms: Dict[int, None] = {}
-        for f in _postorder(formula):
-            kind = type(f)
-            if kind is Atom:
-                v = self._node(f.name)
-                atoms[v] = None
-            elif kind is Not:
-                v = self._node(("!", var[id(f.child)]))
+        for token in formula.code:
+            if token == "!":
+                stack[-1] = self._node(("!", stack[-1]))
+            elif token == "->":
+                right = stack.pop()
+                stack[-1] = self._node(("->", stack[-1], right))
             else:
-                v = self._node(("->", var[id(f.left)], var[id(f.right)]))
-            var[id(f)] = v
-        self._atoms_under.setdefault(v, tuple(atoms))
-        return v
+                stack.append(self._node(token))
+                atoms[stack[-1]] = None
+        self._atoms_under.setdefault(stack[0], tuple(atoms))
+        return stack[0]
 
     def _node(self, key) -> int:
         """The variable of an atom name or a ("!", child) / ("->", left,

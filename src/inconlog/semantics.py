@@ -120,9 +120,7 @@ def preferred_models(
     ensure_valid(theory)
     atoms = tuple(sorted(theory.atoms() | set(extra_atoms)))
     if len(atoms) > max_atoms:
-        raise AtomCapExceeded(
-            f"{len(atoms)} atoms exceed the preferred-model cap of {max_atoms}"
-        )
+        raise AtomCapExceeded("preferred-model", max_atoms, len(atoms))
     index = ConsistencyIndex(
         theory.formulas_by_id(),
         extra=tuple(formulas.Atom(a) for a in atoms),

@@ -116,8 +116,12 @@ class TestStable:
     def test_budget_is_enforced(self):
         t = theory_of({f"p{i}": "a" for i in range(5)})
         af = partial_framework(t)
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(SearchBudgetExceeded) as refused:
             stable_extensions(af, budget=3)
+        err = refused.value
+        assert (err.layer, err.limit, err.arguments) == (
+            "stable-extension search", 3, len(af.arguments))
+        assert str(err) == f"{len(af.arguments)} arguments exceed the search budget of 3"
 
 
 class TestIgnored:

@@ -381,6 +381,46 @@ class TestEntailment:
                 assert skeptical_entails(t, goal, max_atoms=max_atoms) == all(verdicts)
                 assert credulous_entails(t, goal, max_atoms=max_atoms) == any(verdicts)
 
+    def test_cap_error_names_layer_limit_and_progress(self, example3):
+        t = theory_of({"a": "x", "na": "!x", "b": "y", "nb": "!y"})
+        with pytest.raises(ExtensionCapExceeded) as refused:
+            all_extensions(t, extension_cap=13)
+        err = refused.value
+        assert (err.layer, err.limit, err.states, err.finished, err.blocks, err.members) == (
+            "extension search", 13, 10, 2, 2, 4)
+        assert str(err) == ("extension search: over the limit of 13 states and members "
+                            "(10 states visited, 2 of 2 blocks finished, 4 members to build)")
+        with pytest.raises(ExtensionCapExceeded) as refused:
+            all_extensions(example3, extension_cap=2)
+        err = refused.value
+        assert (err.limit, err.states, err.members) == (2, 3, 0)
+        assert str(err).endswith(
+            f"(3 states visited, {err.finished} of {err.blocks} blocks finished)")
+
+    def test_premises_reach_the_index_in_position_order(self, monkeypatch):
+        # In frozenset order the solver's frames and decisions, and so
+        # its work, would follow the hash seed.
+        t = theory_of([(f"p{i}", f"a | x{i}") for i in range(12)] + [("q0", "g"), ("q1", "!g")])
+        position = {pid: i for i, pid in enumerate(t.ids)}
+        seen = []
+
+        def recording(method):
+            def wrapper(index, ids, *rest):
+                ids = list(ids)
+                seen.append(ids)
+                return method(index, ids, *rest)
+            return wrapper
+
+        for name in ("consistent", "entails"):
+            monkeypatch.setattr(formulas.ConsistencyIndex, name,
+                                recording(getattr(formulas.ConsistencyIndex, name)))
+        for max_atoms in (20, 0):
+            assert not skeptical_entails(t, parse_formula("g & (a | x0)"), max_atoms=max_atoms)
+            assert credulous_entails(t, parse_formula("g & (a | x0)"), max_atoms=max_atoms)
+            assert len(all_extensions(t, max_atoms=max_atoms)) == 2
+        assert max(map(len, seen)) == 13
+        assert all(ids == sorted(ids, key=position.__getitem__) for ids in seen)
+
     def test_only_blocks_sharing_an_atom_with_the_goal_are_charged(self):
         # two unordered clashes of 5 states each: x searches its own
         # block alone, 5 states and then 2 members; x & y searches both

@@ -1,7 +1,10 @@
 import copy
 import functools
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -99,8 +102,11 @@ class TestInterpretations:
         assert all_interpretations([]) == [frozenset()]
 
     def test_cap_is_enforced(self):
-        with pytest.raises(AtomCapExceeded):
+        with pytest.raises(AtomCapExceeded) as refused:
             all_interpretations([f"x{i}" for i in range(21)])
+        err = refused.value
+        assert (err.layer, err.limit, err.atoms) == ("exhaustive-valuation", 20, 21)
+        assert str(err) == "21 atoms exceed the exhaustive-valuation cap of 20"
 
 
 class TestConsequence:
@@ -183,6 +189,46 @@ class TestByProperty:
         ids = list(by_id)
         assert index.consistent(ids) == is_consistent(fs)
         assert index.entails(ids, goal) == entails(fs, goal)
+
+
+@st.composite
+def _deep_formulas(draw):
+    """A formula 1,000 or more levels deep: runs of one wrapping each,
+    repeated until deep enough, around an atom.  A wrapping is a
+    negation, or a connective with an atom on the side drawn."""
+    f = Atom(draw(st.sampled_from(_atom_names)))
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(("!", "->", "&", "|")), st.booleans(),
+                  st.sampled_from(_atom_names), st.integers(1, 300)),
+        min_size=1, max_size=8,
+    ))
+    depth = 0
+    while depth < 1000:
+        for op, atom_first, name, count in runs:
+            for _ in range(count):
+                if op == "!":
+                    f = Not(f)
+                else:
+                    build = {"->": Implies, "&": conj, "|": disj}[op]
+                    f = build(Atom(name), f) if atom_first else build(f, Atom(name))
+            depth += count
+    return f
+
+
+class TestDeepByProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(_deep_formulas())
+    def test_format_parse_round_trip(self, f):
+        assert parse_formula(format_formula(f)) == f
+        assert parse_formula(format_formula(f, sugar=False)) == f
+
+    @settings(max_examples=25, deadline=None)
+    @given(_deep_formulas(), st.sampled_from(_atom_names))
+    def test_solver_agrees_with_bitmasks(self, f, goal):
+        fs = [f, Atom(goal)]
+        assert is_consistent([f], max_atoms=0) == is_consistent([f])
+        assert is_consistent(fs, max_atoms=0) == is_consistent(fs)
+        assert entails([f], Atom(goal), max_atoms=0) == entails([f], Atom(goal))
 
 
 class TestSolverState:
@@ -352,6 +398,22 @@ class TestDeepFormulas:
             start = time.perf_counter()
             assert entails(fs, Atom("x1000")) is expected
             assert time.perf_counter() - start < 0.2
+
+
+class TestHashing:
+    def test_hash_does_not_depend_on_the_hash_seed(self):
+        src = os.path.dirname(os.path.dirname(formulas.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = ("from inconlog.formulas import parse_formula\n"
+                  "print(hash(parse_formula('a & (b -> !c) | d')), hash(parse_formula('x')))")
+        hashes = [
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert hashes[0] == hashes[1] and hashes[0].strip()
 
 
 def _outcome(parse, text):

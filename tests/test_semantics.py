@@ -5,7 +5,7 @@ from typing import Dict, Set
 import pytest
 
 from inconlog import formulas
-from inconlog.errors import InvalidTheoryError
+from inconlog.errors import AtomCapExceeded, InvalidTheoryError
 from inconlog.extensions import all_extensions, credulous_entails, skeptical_entails
 from inconlog.files import parse_theory, render_theory
 from inconlog.formulas import parse_formula
@@ -123,6 +123,14 @@ class TestPreferredModels:
         t = theory_of({"a": "x"}, [("a", "a")])
         with pytest.raises(InvalidTheoryError):
             preferred_models(t)
+
+    def test_atom_cap_error_names_layer_limit_and_atoms(self):
+        t = theory_of({"p": "a -> b", "q": "c"})
+        with pytest.raises(AtomCapExceeded) as refused:
+            preferred_models(t, extra_atoms=["d"], max_atoms=3)
+        err = refused.value
+        assert (err.layer, err.limit, err.atoms) == ("preferred-model", 3, 4)
+        assert str(err) == "4 atoms exceed the preferred-model cap of 3"
 
 
 class TestRevise:
